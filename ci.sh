@@ -6,6 +6,9 @@ set -eux
 
 cargo fmt --check
 cargo build --release
+# The end-to-end benchmark is its own workspace over these crates: a
+# crate-API change that breaks it should fail here, not at bench time.
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 

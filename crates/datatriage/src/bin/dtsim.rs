@@ -26,8 +26,6 @@
 //!   --windows N         print at most N windows (default 5)
 //!   --explain           print the plan tree and shadow query first
 //!   --optimize          reorder joins with the cost-based optimizer
-//!   --incremental       maintain windows with the streaming symmetric
-//!                       join instead of batch execution at close
 //!   --trace FILE        replay arrivals from a trace file instead of
 //!                       generating them (format: ts_us,stream,v1[,v2…])
 //!   --dump-trace FILE   write the arrivals used to a trace file
@@ -70,7 +68,6 @@ struct Args {
     show_windows: usize,
     trace_in: Option<String>,
     trace_out: Option<String>,
-    incremental: bool,
     explain: bool,
     optimize: bool,
     serve: Option<String>,
@@ -99,7 +96,6 @@ impl Default for Args {
             show_windows: 5,
             trace_in: None,
             trace_out: None,
-            incremental: false,
             explain: false,
             optimize: false,
             serve: None,
@@ -166,7 +162,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --windows: {e}"))?
             }
-            "--incremental" => args.incremental = true,
             "--explain" => args.explain = true,
             "--optimize" => args.optimize = true,
             "--trace" => args.trace_in = Some(value("--trace")?),
@@ -465,9 +460,6 @@ fn run(args: &Args) -> DtResult<()> {
         cfg.delay = args.delay;
         cfg.synopsis = parse_synopsis(&args.synopsis, args.seed).map_err(DtError::config)?;
         cfg.seed = args.seed;
-        if args.incremental {
-            cfg.execution = datatriage::triage::ExecStrategy::Incremental;
-        }
         let reg = if args.obs {
             MetricsRegistry::new()
         } else {

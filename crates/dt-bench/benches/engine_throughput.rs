@@ -3,12 +3,12 @@
 //! fixed workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dt_engine::{execute_window, CostModel, IncrementalWindow};
+use dt_engine::{execute_window, execute_window_cols, CostModel};
 use dt_metrics::{report_to_map, SweepConfig};
 use dt_query::{parse_select, Catalog, Planner, QueryPlan};
 use dt_synopsis::SynopsisConfig;
 use dt_triage::{Pipeline, PipelineConfig, ShedMode};
-use dt_types::{DataType, Row, Schema};
+use dt_types::{ColumnBatch, DataType, Row, Schema};
 use dt_workload::{generate, WorkloadConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -42,31 +42,30 @@ fn window_inputs(per_stream: usize, seed: u64) -> Vec<Vec<Row>> {
             })
             .collect()
     };
-    vec![gen(1), gen(2), gen(1)]
+    vec![gen(1), gen(2), gen(1)] // R(a), S(b, c), T(d)
 }
 
 fn bench_window_exec(c: &mut Criterion) {
     let plan = paper_plan();
     let mut group = c.benchmark_group("window_exec_3way_join");
-    // The incremental executor at 1600/stream runs >1 s per iteration;
-    // keep the sample count small so the whole suite stays minutes,
-    // not hours.
     group.sample_size(10);
     for per_stream in [100usize, 400, 1_600] {
         let inputs = window_inputs(per_stream, per_stream as u64);
+        // The row entry point; well-shaped rows take the columnar path.
         group.bench_function(&format!("batch/{per_stream}_per_stream"), |b| {
             b.iter(|| execute_window(&plan, &inputs).unwrap().len())
         });
-        group.bench_function(&format!("incremental/{per_stream}_per_stream"), |b| {
+        // The server's close: convert each stream once, then run the
+        // vectorized executor.
+        group.bench_function(&format!("columnar/{per_stream}_per_stream"), |b| {
             b.iter(|| {
-                let mut w = IncrementalWindow::new(plan.clone()).unwrap();
-                // Round-robin delivery, as the pipeline would.
-                for i in 0..per_stream {
-                    for (s, rows) in inputs.iter().enumerate() {
-                        w.insert(s, rows[i].clone()).unwrap();
-                    }
-                }
-                w.finish().len()
+                let cols: Vec<ColumnBatch> = inputs
+                    .iter()
+                    .zip([1, 2, 1])
+                    .map(|(rows, arity)| ColumnBatch::from_rows(arity, rows))
+                    .collect();
+                let refs: Vec<&ColumnBatch> = cols.iter().collect();
+                execute_window_cols(&plan, &refs).unwrap().len()
             })
         });
     }

@@ -26,7 +26,6 @@ pub mod aggregate;
 pub mod batch_exec;
 pub mod cost;
 pub mod exec;
-pub mod incremental;
 pub mod obs;
 pub mod window;
 
@@ -34,6 +33,5 @@ pub use aggregate::{AggState, GroupArena};
 pub use batch_exec::execute_window_cols;
 pub use cost::CostModel;
 pub use exec::{execute_window, execute_window_ref, execute_window_rows, AggValue, WindowOutput};
-pub use incremental::IncrementalWindow;
 pub use obs::ExecMetrics;
 pub use window::WindowBuffers;

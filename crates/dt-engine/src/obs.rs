@@ -9,10 +9,10 @@
 
 use dt_obs::{Histogram, MetricsRegistry};
 use dt_query::QueryPlan;
-use dt_types::{ColumnBatch, DtResult, Row};
+use dt_types::{ColumnBatch, DtResult};
 
 use crate::batch_exec::execute_window_cols;
-use crate::exec::{execute_window_rows, WindowOutput};
+use crate::exec::WindowOutput;
 
 /// Instruments for exact window execution.
 #[derive(Debug, Clone, Default)]
@@ -50,22 +50,6 @@ impl ExecMetrics {
         }
     }
 
-    /// [`execute_window_rows`] with execution latency and output
-    /// fan-out recorded.
-    pub fn execute_window_rows(
-        &self,
-        plan: &QueryPlan,
-        inputs: &[Vec<&Row>],
-    ) -> DtResult<WindowOutput> {
-        let timer = self.window_exec_us.start_timer();
-        let out = execute_window_rows(plan, inputs);
-        timer.stop();
-        if let Ok(o) = &out {
-            self.window_output_rows.observe(o.len() as u64);
-        }
-        out
-    }
-
     /// [`execute_window_cols`] with execution latency, output fan-out,
     /// and per-stream batch sizes recorded.
     pub fn execute_window_cols(
@@ -92,7 +76,7 @@ impl ExecMetrics {
 mod tests {
     use super::*;
     use dt_query::{parse_select, Catalog, Planner};
-    use dt_types::{DataType, Schema};
+    use dt_types::{DataType, Row, Schema};
 
     #[test]
     fn timed_execution_matches_untimed_and_records() {
@@ -102,19 +86,21 @@ mod tests {
             .plan(&parse_select("SELECT a, COUNT(*) FROM R GROUP BY a").unwrap())
             .unwrap();
         let rows: Vec<Row> = (0..10).map(|i| Row::from_ints(&[i % 3])).collect();
-        let inputs = vec![rows.iter().collect::<Vec<&Row>>()];
+        let batch = ColumnBatch::from_rows(1, &rows);
+        let inputs = [&batch];
 
         let reg = MetricsRegistry::new();
         let m = ExecMetrics::register(&reg);
-        let timed = m.execute_window_rows(&plan, &inputs).unwrap();
-        let plain = execute_window_rows(&plan, &inputs).unwrap();
+        let timed = m.execute_window_cols(&plan, &inputs).unwrap();
+        let plain = execute_window_cols(&plan, &inputs).unwrap();
         assert_eq!(timed, plain);
         assert_eq!(m.window_exec_us.count(), 1);
         assert_eq!(m.window_output_rows.count(), 1);
         assert_eq!(m.window_output_rows.max(), 3, "three groups");
+        assert_eq!(m.batch_rows.max(), 10);
 
         let off = ExecMetrics::default();
-        assert_eq!(off.execute_window_rows(&plan, &inputs).unwrap(), plain);
+        assert_eq!(off.execute_window_cols(&plan, &inputs).unwrap(), plain);
         assert_eq!(off.window_exec_us.count(), 0);
     }
 }

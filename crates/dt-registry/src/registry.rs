@@ -8,7 +8,7 @@ use dt_query::{parse_select, Catalog, Planner};
 use dt_triage::{
     DelayConstraint, LaneSpec, QueryClose, QueryExecutor, SharedStream, ShedMode, SynPair,
 };
-use dt_types::{DtError, DtResult, Row, WindowId, WindowSpec};
+use dt_types::{ColumnBatch, DtError, DtResult, Row, WindowId, WindowSpec};
 
 use crate::spec::{QueryId, QueryInfo, QuerySpec};
 
@@ -370,10 +370,12 @@ impl QueryRegistry {
         None
     }
 
-    /// Fan one sealed window out to every query active for it, by
-    /// reference — each query's executor reads its slice of the
-    /// server-wide per-stream state without cloning a row or a
-    /// synopsis. Returns `(QueryId, QueryClose)` pairs in id order.
+    /// Fan one sealed window out to every query active for it. Each
+    /// stream some active query reads is converted to a
+    /// [`ColumnBatch`] once; every query's columnar
+    /// [`QueryExecutor::close`] then reads its slice of the batches and
+    /// synopses by reference. Returns `(QueryId, QueryClose)` pairs in
+    /// id order.
     ///
     /// Also advances the emit cursor to `window + 1` *before*
     /// enumerating, so a registration racing this call either misses
@@ -383,23 +385,32 @@ impl QueryRegistry {
         window: WindowId,
         inputs: WindowInputs<'_>,
     ) -> DtResult<Vec<(QueryId, QueryClose)>> {
-        if inputs.rows.len() != self.streams.len() || inputs.counts.len() != self.streams.len() {
+        let n = self.streams.len();
+        let n_pairs = inputs.pairs.map_or(n, <[SynPair]>::len);
+        if inputs.rows.len() != n || inputs.counts.len() != n || n_pairs != n {
             return Err(DtError::config(format!(
-                "close_window got {} row / {} count streams, registry has {}",
+                "close_window got {} row / {} count / {n_pairs} synopsis streams, registry has {n}",
                 inputs.rows.len(),
                 inputs.counts.len(),
-                self.streams.len()
             )));
         }
         self.emit_cursor.fetch_max(window + 1, Ordering::Relaxed);
         let queries = self.queries.read().expect("registry lock poisoned");
+        let active: Vec<&RegisteredQuery> = queries.iter().filter(|q| q.covers(window)).collect();
+        let mut cols: Vec<Option<ColumnBatch>> = vec![None; n];
+        for &p in active.iter().flat_map(|q| &q.phys) {
+            cols[p].get_or_insert_with(|| {
+                ColumnBatch::from_rows(self.streams[p].schema.arity(), &inputs.rows[p])
+            });
+        }
         let mut out = Vec::new();
-        for q in queries.iter().filter(|q| q.covers(window)) {
-            let rows: Vec<&[Row]> = q.phys.iter().map(|&p| inputs.rows[p].as_slice()).collect();
+        for q in active {
+            let batches: Vec<&ColumnBatch> =
+                q.phys.iter().filter_map(|&p| cols[p].as_ref()).collect();
             let pair_refs: Option<Vec<&SynPair>> = inputs
                 .pairs
                 .map(|pairs| q.phys.iter().map(|&p| &pairs[p]).collect());
-            let close = q.exec.close_ref(0, &rows, pair_refs.as_deref())?;
+            let close = q.exec.close(0, &batches, pair_refs.as_deref())?;
             q.windows.fetch_add(1, Ordering::Relaxed);
             q.gauges.windows.inc();
             let est = (close.estimated_share() * 1000.0).round() as u64;
@@ -638,6 +649,18 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.to_string().contains("close_window"));
+        // A short synopsis table, or short rows, is a structured error
+        // too, not an index panic.
+        let (rows, pairs, counts) = sealed_inputs(&r, &[&[1], &[2]], &[&[], &[]]);
+        for (rows, pairs) in [(&rows[..], &pairs[..1]), (&rows[..1], &pairs[..])] {
+            let inputs = WindowInputs {
+                rows,
+                pairs: Some(pairs),
+                counts: &counts,
+            };
+            let err = r.close_window(0, inputs).unwrap_err();
+            assert!(matches!(err, DtError::Config(_)), "{err}");
+        }
     }
 
     #[test]

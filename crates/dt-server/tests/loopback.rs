@@ -242,6 +242,10 @@ fn metrics_endpoint_serves_prometheus_exposition() {
         "{text}"
     );
     assert!(text.contains("dt_engine_window_exec_us_p99"), "{text}");
+    // The merger closed the window through the columnar executor: one
+    // batch of all 20 kept rows.
+    assert!(text.contains("dt_engine_batch_rows_count 1"), "{text}");
+    assert!(text.contains("dt_engine_batch_rows_sum 20"), "{text}");
     assert!(text.contains("dt_server_windows_emitted_total 1"), "{text}");
     assert!(text.contains("dt_server_ingest_frames_total 20"), "{text}");
 

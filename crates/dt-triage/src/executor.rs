@@ -76,11 +76,11 @@ impl QueryClose {
 
 /// Per-query compiled state.
 #[derive(Debug, Clone)]
-pub(crate) struct QueryRuntime {
-    pub(crate) plan: QueryPlan,
-    pub(crate) shadow: Option<ShadowQuery>,
+struct QueryRuntime {
+    plan: QueryPlan,
+    shadow: Option<ShadowQuery>,
     /// Plan FROM-position → shared stream index.
-    pub(crate) stream_map: Vec<usize>,
+    stream_map: Vec<usize>,
 }
 
 /// Stateless window-close execution over shared physical streams. See
@@ -225,10 +225,6 @@ impl QueryExecutor {
         self.queries.get(q).and_then(|r| r.shadow.as_ref())
     }
 
-    pub(crate) fn queries(&self) -> &[QueryRuntime] {
-        &self.queries
-    }
-
     /// Fresh (unsealed) kept/dropped synopsis pairs, one per physical
     /// stream.
     pub fn empty_pairs(&self, synopsis: &SynopsisConfig) -> DtResult<Vec<SynPair>> {
@@ -243,34 +239,55 @@ impl QueryExecutor {
             .collect()
     }
 
-    /// Exact batch execution of query `q` over one window's kept rows
-    /// (`shared_rows[i]` holds physical stream `i`'s rows). Aliased
-    /// self-joins read the same shared rows on every FROM position —
-    /// by reference, so no rows are cloned per window close.
-    pub fn exact_batch(&self, q: usize, shared_rows: &[Vec<Row>]) -> DtResult<WindowOutput> {
-        let query = self
-            .queries
+    /// Query `q`'s compiled state.
+    fn query(&self, q: usize) -> DtResult<&QueryRuntime> {
+        self.queries
             .get(q)
-            .ok_or_else(|| DtError::config(format!("unknown query {q}")))?;
-        let inputs: Vec<Vec<&Row>> = query
-            .stream_map
-            .iter()
-            .map(|&si| shared_rows[si].iter().collect())
-            .collect();
-        self.metrics.execute_window_rows(&query.plan, &inputs)
+            .ok_or_else(|| DtError::config(format!("unknown query {q}")))
     }
 
-    /// Columnar [`QueryExecutor::exact_batch`]: one window's kept
-    /// tuples arrive as per-physical-stream [`ColumnBatch`]es (the
-    /// form [`dt_engine::WindowBuffers::take_window`] hands out) and
-    /// flow straight into the vectorized executor — aliased FROM
-    /// positions share the same batch by reference.
+    /// Route a per-stream table (`table[i]` belongs to executor stream
+    /// `i`) to `query`'s FROM positions; aliased self-joins read the
+    /// same entry by reference. A table that does not cover exactly
+    /// the executor's streams is a structured error, not a panic.
+    fn route<'a, T: ?Sized>(
+        &self,
+        query: &QueryRuntime,
+        table: &[&'a T],
+        what: &str,
+    ) -> DtResult<Vec<&'a T>> {
+        if table.len() != self.streams.len() {
+            return Err(DtError::config(format!(
+                "{what} got {} streams, executor has {}",
+                table.len(),
+                self.streams.len()
+            )));
+        }
+        Ok(query.stream_map.iter().map(|&si| table[si]).collect())
+    }
+
+    /// Row adapter over [`QueryExecutor::exact_batch_cols`]: converts
+    /// each stream's kept rows (`shared_rows[i]` holds physical stream
+    /// `i`'s rows) with [`ColumnBatch::from_rows`], then runs the
+    /// columnar executor.
+    pub fn exact_batch(&self, q: usize, shared_rows: &[Vec<Row>]) -> DtResult<WindowOutput> {
+        let cols: Vec<ColumnBatch> = self
+            .streams
+            .iter()
+            .zip(shared_rows)
+            .map(|(s, rows)| ColumnBatch::from_rows(s.schema.arity(), rows))
+            .collect();
+        self.exact_batch_cols(q, &cols)
+    }
+
+    /// Exact execution of query `q` over one window's kept tuples,
+    /// one [`ColumnBatch`] per physical stream (the form
+    /// [`dt_engine::WindowBuffers::take_window`] hands out), through
+    /// the vectorized executor.
     pub fn exact_batch_cols(&self, q: usize, shared: &[ColumnBatch]) -> DtResult<WindowOutput> {
-        let query = self
-            .queries
-            .get(q)
-            .ok_or_else(|| DtError::config(format!("unknown query {q}")))?;
-        let inputs: Vec<&ColumnBatch> = query.stream_map.iter().map(|&si| &shared[si]).collect();
+        let query = self.query(q)?;
+        let shared: Vec<&ColumnBatch> = shared.iter().collect();
+        let inputs = self.route(query, &shared, "exact_batch_cols")?;
         self.metrics.execute_window_cols(&query.plan, &inputs)
     }
 
@@ -283,38 +300,47 @@ impl QueryExecutor {
         exact: WindowOutput,
         pairs: Option<&[SynPair]>,
     ) -> DtResult<WindowPayload> {
-        let query = self
-            .queries
-            .get(q)
-            .ok_or_else(|| DtError::config(format!("unknown query {q}")))?;
-        let estimate = match pairs {
-            Some(pairs) => {
-                let kept: Vec<&Synopsis> =
-                    query.stream_map.iter().map(|&si| &pairs[si].kept).collect();
-                let dropped: Vec<&Synopsis> = query
-                    .stream_map
-                    .iter()
-                    .map(|&si| &pairs[si].dropped)
-                    .collect();
-                Self::estimate_ref(query, &kept, &dropped)?
-            }
-            None => None,
-        };
-        Ok(Self::build_payload(query, exact, estimate)?.payload)
+        let pairs: Option<Vec<&SynPair>> = pairs.map(|p| p.iter().collect());
+        Ok(self
+            .finish(self.query(q)?, exact, pairs.as_deref())?
+            .payload)
     }
 
-    /// The shadow estimate over per-stream synopsis references (the
-    /// shared synopses are read in place; only the shadow plan's own
-    /// operations materialize new structures).
-    fn estimate_ref(
+    /// Close one window for query `q`: columnar exact execution, shadow
+    /// estimation over the sealed synopses, merge. `shared[i]` and
+    /// `pairs[i]` belong to executor stream `i` and are borrowed, so a
+    /// caller fanning one sealed window out to many queries clones no
+    /// batch or synopsis.
+    pub fn close(
+        &self,
+        q: usize,
+        shared: &[&ColumnBatch],
+        pairs: Option<&[&SynPair]>,
+    ) -> DtResult<QueryClose> {
+        let query = self.query(q)?;
+        let inputs = self.route(query, shared, "close")?;
+        let exact = self.metrics.execute_window_cols(&query.plan, &inputs)?;
+        self.finish(query, exact, pairs)
+    }
+
+    /// Estimate the lost results with the shadow plan, which reads the
+    /// shared synopses in place, then merge them into the exact output.
+    fn finish(
+        &self,
         query: &QueryRuntime,
-        kept: &[&Synopsis],
-        dropped: &[&Synopsis],
-    ) -> DtResult<Option<Synopsis>> {
-        match &query.shadow {
-            Some(shadow) => Ok(Some(evaluate_ref(&shadow.plan, kept, dropped)?)),
-            None => Ok(None),
-        }
+        exact: WindowOutput,
+        pairs: Option<&[&SynPair]>,
+    ) -> DtResult<QueryClose> {
+        let estimate = match (&query.shadow, pairs) {
+            (Some(shadow), Some(pairs)) => {
+                let pairs = self.route(query, pairs, "synopsis pairs")?;
+                let kept: Vec<&Synopsis> = pairs.iter().map(|p| &p.kept).collect();
+                let dropped: Vec<&Synopsis> = pairs.iter().map(|p| &p.dropped).collect();
+                Some(evaluate_ref(&shadow.plan, &kept, &dropped)?)
+            }
+            _ => None,
+        };
+        Self::build_payload(query, exact, estimate)
     }
 
     /// Merge one query's exact output with its estimate, apply HAVING
@@ -383,74 +409,6 @@ impl QueryExecutor {
             })
         }
     }
-
-    /// Close one window for query `q` where the caller supplies this
-    /// executor's per-stream state *by reference* — `shared_rows[i]`
-    /// and `pairs[i]` belong to executor stream `i`. A registry
-    /// fanning one sealed server window out to many attached queries
-    /// selects each query's slices out of a server-wide table without
-    /// cloning a single row or synopsis.
-    pub fn close_ref(
-        &self,
-        q: usize,
-        shared_rows: &[&[Row]],
-        pairs: Option<&[&SynPair]>,
-    ) -> DtResult<QueryClose> {
-        let query = self
-            .queries
-            .get(q)
-            .ok_or_else(|| DtError::config(format!("unknown query {q}")))?;
-        if shared_rows.len() != self.streams.len() {
-            return Err(DtError::config(format!(
-                "close_ref got {} streams, executor has {}",
-                shared_rows.len(),
-                self.streams.len()
-            )));
-        }
-        let inputs: Vec<Vec<&Row>> = query
-            .stream_map
-            .iter()
-            .map(|&si| shared_rows[si].iter().collect())
-            .collect();
-        let exact = self.metrics.execute_window_rows(&query.plan, &inputs)?;
-        let estimate = match pairs {
-            Some(pairs) => {
-                let kept: Vec<&Synopsis> =
-                    query.stream_map.iter().map(|&si| &pairs[si].kept).collect();
-                let dropped: Vec<&Synopsis> = query
-                    .stream_map
-                    .iter()
-                    .map(|&si| &pairs[si].dropped)
-                    .collect();
-                Self::estimate_ref(query, &kept, &dropped)?
-            }
-            None => None,
-        };
-        Self::build_payload(query, exact, estimate)
-    }
-
-    /// Close one window for every query: exact batch execution over
-    /// the shared rows, shadow estimation over the sealed synopses,
-    /// merge. Returns one payload per query, in registration order.
-    pub fn close_batch(
-        &self,
-        shared_rows: &[Vec<Row>],
-        pairs: Option<&[SynPair]>,
-    ) -> DtResult<Vec<WindowPayload>> {
-        if shared_rows.len() != self.streams.len() {
-            return Err(DtError::config(format!(
-                "close_batch got {} streams, executor has {}",
-                shared_rows.len(),
-                self.streams.len()
-            )));
-        }
-        (0..self.queries.len())
-            .map(|q| {
-                let exact = self.exact_batch(q, shared_rows)?;
-                self.payload(q, exact, pairs)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -471,18 +429,17 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn close_batch_merges_exact_and_estimated_counts() {
+    /// The COUNT query over a window of three kept and two dropped
+    /// `a = 1` tuples.
+    fn count_window() -> (QueryExecutor, Vec<Vec<Row>>, Vec<SynPair>) {
         let exec = QueryExecutor::new(
             vec![plan("SELECT a, COUNT(*) FROM R GROUP BY a")],
             ShedMode::DataTriage,
         )
         .unwrap();
-        assert_eq!(exec.streams().len(), 1);
-        let cfg = SynopsisConfig::Sparse { cell_width: 1 };
-        let mut pairs = exec.empty_pairs(&cfg).unwrap();
-        // Three kept rows of a=1, two dropped rows of a=1 summarized.
-        let rows = vec![vec![Row::from_ints(&[1]); 3]];
+        let mut pairs = exec
+            .empty_pairs(&SynopsisConfig::Sparse { cell_width: 1 })
+            .unwrap();
         for _ in 0..2 {
             pairs[0].dropped.insert(&[1]).unwrap();
         }
@@ -493,60 +450,48 @@ mod tests {
             p.kept.seal();
             p.dropped.seal();
         }
-        let payloads = exec.close_batch(&rows, Some(&pairs)).unwrap();
-        assert_eq!(payloads.len(), 1);
-        match &payloads[0] {
-            WindowPayload::Groups(g) => {
-                assert!((g[&Row::from_ints(&[1])][0] - 5.0).abs() < 1e-9);
-            }
-            other => panic!("{other:?}"),
-        }
+        (exec, vec![vec![Row::from_ints(&[1]); 3]], pairs)
     }
 
     #[test]
-    fn close_ref_matches_close_batch_and_accounts_mass() {
-        let exec = QueryExecutor::new(
-            vec![plan("SELECT a, COUNT(*) FROM R GROUP BY a")],
-            ShedMode::DataTriage,
-        )
-        .unwrap();
-        let cfg = SynopsisConfig::Sparse { cell_width: 1 };
-        let mut pairs = exec.empty_pairs(&cfg).unwrap();
-        let rows = vec![vec![Row::from_ints(&[1]); 3]];
-        for _ in 0..2 {
-            pairs[0].dropped.insert(&[1]).unwrap();
-        }
-        for _ in 0..3 {
-            pairs[0].kept.insert(&[1]).unwrap();
-        }
-        for p in &mut pairs {
-            p.kept.seal();
-            p.dropped.seal();
-        }
-        let batch = exec.close_batch(&rows, Some(&pairs)).unwrap();
-        let row_refs: Vec<&[Row]> = rows.iter().map(|r| r.as_slice()).collect();
+    fn close_merges_exact_and_estimated_counts() {
+        let (exec, rows, pairs) = count_window();
+        let cols = ColumnBatch::from_rows(1, &rows[0]);
         let pair_refs: Vec<&SynPair> = pairs.iter().collect();
-        let close = exec.close_ref(0, &row_refs, Some(&pair_refs)).unwrap();
-        match (&batch[0], &close.payload) {
-            (WindowPayload::Groups(a), WindowPayload::Groups(b)) => assert_eq!(a, b),
+        let close = exec.close(0, &[&cols], Some(&pair_refs)).unwrap();
+        let exact = exec.exact_batch(0, &rows).unwrap();
+        match (
+            &close.payload,
+            exec.payload(0, exact, Some(&pairs)).unwrap(),
+        ) {
+            (WindowPayload::Groups(g), WindowPayload::Groups(h)) => {
+                assert!((g[&Row::from_ints(&[1])][0] - 5.0).abs() < 1e-9);
+                assert_eq!(g, &h, "row adapter + payload agree with close");
+            }
             other => panic!("{other:?}"),
         }
         // 3 exact + 2 estimated of the 5 merged: 40% estimated.
         assert!((close.exact_mass - 3.0).abs() < 1e-9);
         assert!((close.merged_mass - 5.0).abs() < 1e-9);
         assert!((close.estimated_share() - 0.4).abs() < 1e-9);
-        // Wrong stream count is rejected.
-        assert!(exec.close_ref(0, &[], None).is_err());
     }
 
     #[test]
     fn stream_count_mismatch_rejected() {
-        let exec = QueryExecutor::new(
-            vec![plan("SELECT a, COUNT(*) FROM R GROUP BY a")],
-            ShedMode::DropOnly,
-        )
-        .unwrap();
-        assert!(exec.close_batch(&[], None).is_err());
+        let (exec, rows, _) = count_window();
+        let cols = ColumnBatch::from_rows(1, &rows[0]);
+        let exact = exec.exact_batch(0, &rows).unwrap();
+        // Short rows, batches and synopsis pairs are structured errors,
+        // not index panics.
+        for err in [
+            exec.exact_batch(0, &[]).unwrap_err(),
+            exec.exact_batch_cols(0, &[]).unwrap_err(),
+            exec.close(0, &[], None).unwrap_err(),
+            exec.close(0, &[&cols], Some(&[])).unwrap_err(),
+            exec.payload(0, exact, Some(&[])).unwrap_err(),
+        ] {
+            assert!(matches!(err, DtError::Config(_)), "{err}");
+        }
     }
 
     #[test]

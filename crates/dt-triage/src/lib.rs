@@ -35,7 +35,9 @@
 //! * [`QueryExecutor`] / [`StreamTriage`] — the stateless
 //!   window-close half and the per-stream fold/seal half, factored
 //!   out so the threaded `dt-server` runtime can drive the same
-//!   stages from worker and merger threads.
+//!   stages from worker and merger threads. Both runtimes close every
+//!   window through [`QueryExecutor::exact_batch_cols`]'s columnar
+//!   executor.
 //!
 //! # Choosing *when* to shed
 //!
@@ -81,9 +83,7 @@ pub use controller::{
 pub use executor::{QueryClose, QueryExecutor, SharedStream, SynPair};
 pub use merge::{merge_window, MergedGroups};
 pub use obs::{ControllerGauges, StreamObs, TriageObs};
-pub use pipeline::{
-    ExecStrategy, Pipeline, PipelineConfig, RunReport, RunTotals, WindowPayload, WindowResult,
-};
+pub use pipeline::{Pipeline, PipelineConfig, RunReport, RunTotals, WindowPayload, WindowResult};
 pub use policy::DropPolicy;
 pub use queue::TriageQueue;
 pub use reorder::ReorderBuffer;

@@ -33,20 +33,6 @@ use crate::policy::DropPolicy;
 use crate::shared::SharedPipeline;
 use crate::shed::ShedMode;
 
-/// How the exact engine evaluates each window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecStrategy {
-    /// Buffer delivered rows and join once at window close (simple;
-    /// close-time CPU spikes with the window's result size).
-    #[default]
-    Batch,
-    /// Maintain a symmetric multiway join incrementally as tuples are
-    /// delivered ([`dt_engine::IncrementalWindow`]); the result is
-    /// ready the moment the window closes. Identical output — the
-    /// engine's property tests pin the two strategies together.
-    Incremental,
-}
-
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
@@ -62,8 +48,6 @@ pub struct PipelineConfig {
     pub synopsis: SynopsisConfig,
     /// Seed for every stochastic choice (drop victims, reservoirs).
     pub seed: u64,
-    /// Batch vs incremental exact execution.
-    pub execution: ExecStrategy,
     /// Optional per-query delay constraint. When set (and the mode
     /// uses the engine), a [`crate::LoadController`] per stream
     /// derives a dynamic triage threshold from the constraint and the
@@ -88,7 +72,6 @@ impl PipelineConfig {
             cost: CostModel::default(),
             synopsis: SynopsisConfig::default_sparse(),
             seed: 0,
-            execution: ExecStrategy::Batch,
             delay: None,
         }
     }

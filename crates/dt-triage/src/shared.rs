@@ -20,17 +20,17 @@
 //! The single-query [`crate::Pipeline`] is a thin facade over this
 //! type.
 
-use dt_engine::{IncrementalWindow, WindowBuffers, WindowOutput};
+use dt_engine::WindowBuffers;
 use dt_query::QueryPlan;
 use dt_rewrite::ShadowQuery;
-use dt_types::{DtError, DtResult, Row, Timestamp, Tuple, WindowId, WindowSpec};
+use dt_types::{ColumnBatch, DtError, DtResult, Row, Timestamp, Tuple, WindowId, WindowSpec};
 
 use dt_obs::MetricsRegistry;
 
 use crate::controller::{LoadController, ShedDecision};
 use crate::executor::{QueryExecutor, SynPair};
 use crate::obs::{ControllerGauges, TriageObs};
-use crate::pipeline::{ExecStrategy, PipelineConfig, RunReport, RunTotals, WindowResult};
+use crate::pipeline::{PipelineConfig, RunReport, RunTotals, WindowResult};
 use crate::policy::DropPolicy;
 use crate::queue::TriageQueue;
 use crate::shed::ShedMode;
@@ -142,10 +142,6 @@ pub struct SharedPipeline {
     /// physical stream, flushed into `syns` in one vectorized pass
     /// when the window closes (synopsis modes only).
     pending: WinMap<Vec<PendPair>>,
-    /// Incremental execution state: per window, one
-    /// [`IncrementalWindow`] per query (only under
-    /// [`ExecStrategy::Incremental`]).
-    inc: WinMap<Vec<IncrementalWindow>>,
     stats: WinMap<WinStats>,
     engine_free_at: Timestamp,
     now: Timestamp,
@@ -227,7 +223,6 @@ impl SharedPipeline {
             cfg,
             syns: WinMap::new(),
             pending: WinMap::new(),
-            inc: WinMap::new(),
             stats: WinMap::new(),
             engine_free_at: Timestamp::ZERO,
             now: Timestamp::ZERO,
@@ -492,30 +487,7 @@ impl SharedPipeline {
                 self.stats.get_or_insert_with(w, WinStats::default).kept += 1;
             }
             self.totals.kept += 1;
-            match self.cfg.execution {
-                ExecStrategy::Batch => self.buffers.push(qi, tuple)?,
-                ExecStrategy::Incremental => {
-                    for w in self.spec.windows_of(tuple.ts) {
-                        let exec = &self.exec;
-                        let states = self.inc.get_or_try_insert_with(w, || {
-                            exec.queries()
-                                .iter()
-                                .map(|q| IncrementalWindow::new(q.plan.clone()))
-                                .collect::<DtResult<Vec<_>>>()
-                        })?;
-                        for (q, state) in self.exec.queries().iter().zip(states.iter_mut()) {
-                            // A shared tuple feeds every FROM position
-                            // bound to this physical stream (self-joins
-                            // read it on both sides).
-                            for (pos, &si) in q.stream_map.iter().enumerate() {
-                                if si == qi {
-                                    state.insert(pos, tuple.row.clone())?;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            self.buffers.push(qi, tuple)?;
         }
         Ok(())
     }
@@ -563,7 +535,6 @@ impl SharedPipeline {
         self.obs.windows_closed.inc();
         let stats = self.stats.remove(w).unwrap_or_default();
         let shared_cols = self.buffers.take_window(w);
-        let mut inc_states = self.inc.remove(w);
         // Seal the shared synopses once; every query reads them.
         let pairs: Option<Vec<SynPair>> = if self.cfg.mode.uses_synopses() {
             self.flush_pending_window(w)?;
@@ -587,25 +558,12 @@ impl SharedPipeline {
             None
         };
 
+        // Every query reads the shared batches and synopses by
+        // reference (aliased self-joins read the same batch).
+        let cols: Vec<&ColumnBatch> = shared_cols.iter().collect();
+        let pair_refs: Option<Vec<&SynPair>> = pairs.as_ref().map(|p| p.iter().collect());
         for qi in 0..self.exec.num_queries() {
-            let exact: WindowOutput = match (&self.cfg.execution, &mut inc_states) {
-                (ExecStrategy::Incremental, Some(states)) => {
-                    // The streaming state already holds the finished
-                    // answer.
-                    let plan = self.exec.queries()[qi].plan.clone();
-                    std::mem::replace(&mut states[qi], IncrementalWindow::new(plan)?).finish()
-                }
-                (ExecStrategy::Incremental, None) => {
-                    // Window with no delivered tuples.
-                    IncrementalWindow::new(self.exec.queries()[qi].plan.clone())?.finish()
-                }
-                // Route shared columnar batches to the query's FROM
-                // positions (aliased self-joins read the same batch).
-                (ExecStrategy::Batch, _) => self.exec.exact_batch_cols(qi, &shared_cols)?,
-            };
-
-            let payload = self.exec.payload(qi, exact, pairs.as_deref())?;
-
+            let payload = self.exec.close(qi, &cols, pair_refs.as_deref())?.payload;
             self.results[qi].push(WindowResult {
                 window: w,
                 payload,

@@ -2,7 +2,7 @@
 //! access pattern.
 //!
 //! The pipeline keeps per-window state (stats, synopsis pairs,
-//! incremental join states) for the handful of windows that are open
+//! pending synopsis points) for the handful of windows that are open
 //! at once — almost always one or two, a few for hopping specs. Every
 //! arriving tuple touches this state two or three times, so the
 //! generic `BTreeMap` it used to live in paid a tree descent per
