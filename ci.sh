@@ -26,6 +26,16 @@ cargo test -q --workspace --doc
 RUSTFLAGS=-Dwarnings cargo test -q -p dt-server --test chaos -- --test-threads=1
 RUSTFLAGS=-Dwarnings cargo test -q -p dt-server --test drain -- --test-threads=1
 
+# End-to-end correctness smoke: short e2ebench runs of the two
+# ingest-heavy workloads. Every generated frame must be decoded and
+# offered, and every unshed window must equal the offline ideal; the
+# last stdout line says "correct": true (e2ebench/README.md).
+for workload in fanout-ingest bursty-join; do
+    cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 2 --trace 0 \
+        | tail -n 1 | grep -q '"correct": true'
+done
+
 # Observability smoke: start a live dt-serve (stdin held open by the
 # sleep), scrape GET /metrics through the bundled example, and require
 # a known metric family in the Prometheus exposition.

@@ -16,11 +16,13 @@
 //! write-side backpressure.
 
 use crate::fault::FaultPlan;
+use crate::frame::Line;
 use crate::obs::{
     http_method_not_allowed, http_not_found, http_response, FAULT_CORRUPT, FAULT_DELAY,
     FAULT_DISCONNECT,
 };
 use crate::server::ServerHandle;
+use std::borrow::Cow;
 
 /// What the session decided after consuming input: keep the
 /// connection open, or close it once `out` has been flushed. On
@@ -76,12 +78,15 @@ impl IngestSession {
                 out.push(b'\n');
                 false
             }
-            Err(_) => {
-                handle.note_rejected_frame();
-                self.errors += 1;
-                self.errors >= handle.error_budget()
-            }
+            Err(_) => self.reject(handle),
         }
+    }
+
+    /// Count one rejected frame; `true` once the budget is exhausted.
+    fn reject(&mut self, handle: &ServerHandle) -> bool {
+        handle.note_rejected_frame();
+        self.errors += 1;
+        self.errors >= handle.error_budget()
     }
 
     /// Release every held line due at or before line index `upto`
@@ -108,13 +113,26 @@ impl IngestSession {
         out.extend_from_slice(msg.as_bytes());
     }
 
-    /// One complete line off the wire. Replies accumulate in `out`.
+    /// One line off the wire. Replies accumulate in `out`. An
+    /// over-long line is one rejected frame; it draws no line number
+    /// from the fault plan, since no text of it was kept.
     pub(crate) fn on_line(
         &mut self,
         handle: &ServerHandle,
-        raw: &str,
+        line: Line<'_>,
         out: &mut Vec<u8>,
     ) -> LineVerdict {
+        let raw = match line {
+            Line::Text(raw) => raw,
+            Line::TooLong => {
+                self.first = false;
+                if self.reject(handle) {
+                    self.farewell(handle, out);
+                    return LineVerdict::Close;
+                }
+                return LineVerdict::Open;
+            }
+        };
         let trimmed = raw.trim();
         if self.first && trimmed.starts_with("GET ") {
             let path = trimmed.split_whitespace().nth(1).unwrap_or("/stats");
@@ -139,11 +157,12 @@ impl IngestSession {
         let id = *self.id.get_or_insert_with(|| handle.next_conn_id());
         let line_no = self.lines;
         self.lines += 1;
-        let mut text = trimmed.to_string();
+        // Borrowed unless the fault plan rewrites or holds the line.
+        let mut text = Cow::Borrowed(trimmed);
         if !self.fault.is_disabled() {
             if let Some(kind) = self.fault.corrupt(id, line_no) {
                 handle.obs().faults_injected[FAULT_CORRUPT].inc();
-                text = self.fault.corrupt_line(kind, id, line_no, &text);
+                text = Cow::Owned(self.fault.corrupt_line(kind, id, line_no, &text));
             }
         }
         let mut exhausted = false;
@@ -152,7 +171,7 @@ impl IngestSession {
             .flatten()
         {
             handle.obs().faults_injected[FAULT_DELAY].inc();
-            self.held.push((line_no + k, text));
+            self.held.push((line_no + k, text.into_owned()));
         } else {
             exhausted = self.process(handle, &text, out);
         }

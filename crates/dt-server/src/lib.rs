@@ -106,7 +106,7 @@ pub use config::{IngestPlane, ServerConfig};
 pub use fault::{Corruption, FaultPlan};
 pub use frame::{
     parse_frame, parse_incoming, render_frame, render_frame_tagged, Command, Frame, FrameAssembler,
-    Incoming,
+    Incoming, Line, MAX_LINE_BYTES,
 };
 pub use server::{Server, ServerHandle};
 pub use source::{run_source, Source, TraceSource};

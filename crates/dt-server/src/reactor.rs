@@ -357,8 +357,8 @@ fn pump<S: ConnIo>(
                 obs.read_burst.observe(n as u64);
                 burst += n;
                 conn.asm.push(&buf[..n]);
-                while let Some(line) = conn.asm.next_line() {
-                    if conn.session.on_line(handle, &line, &mut conn.out) == LineVerdict::Close {
+                while let Some(line) = conn.asm.pull_line() {
+                    if conn.session.on_line(handle, line, &mut conn.out) == LineVerdict::Close {
                         conn.closing = true;
                         return Step::Settle;
                     }

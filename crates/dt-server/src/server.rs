@@ -10,7 +10,7 @@
 
 use crate::config::ServerConfig;
 use crate::fault::FaultPlan;
-use crate::frame::{parse_frame, parse_incoming, Command, FrameAssembler, Incoming};
+use crate::frame::{decode_frame, decode_incoming, Command, Decoded, FrameAssembler, FrameRef};
 use crate::ingest::{IngestSession, LineVerdict};
 use crate::obs::{ServerObs, WorkerObs, FAULT_PANIC, FAULT_STALL};
 use crate::stats::query_info_json;
@@ -22,8 +22,8 @@ use dt_registry::{QueryId, QueryInfo, QueryRegistry, QuerySpec, RegistryConfig};
 use dt_synopsis::SynopsisConfig;
 use dt_triage::{
     merge_sealed, ControllerGauges, DelayConstraint, FairController, RunReport, RunTotals,
-    SealedWindow, ShardQueues, ShardRouter, SharedController, ShedDecision, ShedMode, SynPair,
-    WindowResult,
+    SealedWindow, ShardQueues, ShardRouter, SharedController, SharedStream, ShedDecision, ShedMode,
+    SynPair, WindowResult,
 };
 use dt_types::{json, Json, ToJson};
 use dt_types::{Clock, DtError, DtResult, Timestamp, Tuple, VDuration, WindowId, WindowSpec};
@@ -174,12 +174,24 @@ impl ServerHandle {
     /// [`FairController`] charges the shed decision to the tenant's
     /// lane (untagged tuples land in the catch-all lane).
     pub fn offer_tagged(&self, stream: usize, tuple: Tuple, tenant: Option<&str>) -> DtResult<()> {
-        let inner = &*self.inner;
-        let shared = inner
+        let shared = self
+            .inner
             .registry
             .streams()
             .get(stream)
             .ok_or_else(|| DtError::config(format!("no stream with index {stream}")))?;
+        self.offer_to(stream, shared, tuple, tenant)
+    }
+
+    /// Offer `tuple` to stream `stream`, whose table entry is `shared`.
+    fn offer_to(
+        &self,
+        stream: usize,
+        shared: &SharedStream,
+        tuple: Tuple,
+        tenant: Option<&str>,
+    ) -> DtResult<()> {
+        let inner = &*self.inner;
         if tuple.arity() != shared.schema.arity() {
             return Err(DtError::schema(format!(
                 "tuple arity {} does not match stream '{}' arity {}",
@@ -244,17 +256,25 @@ impl ServerHandle {
     pub fn offer_frame(&self, line: &str) -> DtResult<()> {
         self.inner.obs.ingest_frames.inc();
         self.inner.obs.ingest_bytes.add(line.len() as u64);
-        let frame = parse_frame(line)?;
-        self.offer_parsed(frame)
+        self.offer_parsed(decode_frame(line)?)
     }
 
-    fn offer_parsed(&self, frame: crate::frame::Frame) -> DtResult<()> {
-        let stream = self
-            .stream_index(&frame.stream)
+    fn offer_parsed(&self, frame: FrameRef<'_>) -> DtResult<()> {
+        let (stream, shared) = self
+            .inner
+            .registry
+            .streams()
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.name == frame.stream)
             .ok_or_else(|| DtError::config(format!("unknown stream '{}'", frame.stream)))?;
-        let tenant = frame.tenant.clone();
-        let tuple = frame.into_tuple(self.inner.clock.now());
-        self.offer_tagged(stream, tuple, tenant.as_deref())
+        let ts = frame.ts.unwrap_or_else(|| self.inner.clock.now());
+        self.offer_to(
+            stream,
+            shared,
+            Tuple::new(frame.row, ts),
+            frame.tenant.as_deref(),
+        )
     }
 
     /// Ingest one wire line: a tuple frame (no reply) or a control
@@ -266,9 +286,9 @@ impl ServerHandle {
     pub fn ingest_line(&self, line: &str) -> DtResult<Option<String>> {
         self.inner.obs.ingest_frames.inc();
         self.inner.obs.ingest_bytes.add(line.len() as u64);
-        match parse_incoming(line)? {
-            Incoming::Tuple(frame) => self.offer_parsed(frame).map(|()| None),
-            Incoming::Control(cmd) => Ok(Some(self.control(cmd).render())),
+        match decode_incoming(line)? {
+            Decoded::Tuple(frame) => self.offer_parsed(frame).map(|()| None),
+            Decoded::Control(cmd) => Ok(Some(self.control(cmd).render())),
         }
     }
 
@@ -1176,8 +1196,8 @@ fn serve_conn(stream: TcpStream, handle: ServerHandle) {
             }
             Ok(n) => {
                 asm.push(&buf[..n]);
-                while let Some(line) = asm.next_line() {
-                    let verdict = session.on_line(&handle, &line, &mut out);
+                while let Some(line) = asm.pull_line() {
+                    let verdict = session.on_line(&handle, line, &mut out);
                     flush(&mut writer, &mut out);
                     if verdict == LineVerdict::Close {
                         return;

@@ -10,7 +10,8 @@
 
 use dt_query::Catalog;
 use dt_server::{
-    fetch_metrics, fetch_stats, Client, MetricsRegistry, Server, ServerConfig, VirtualClock,
+    fetch_metrics, fetch_stats, Client, IngestPlane, MetricsRegistry, Server, ServerConfig,
+    VirtualClock, MAX_LINE_BYTES,
 };
 use dt_synopsis::SynopsisConfig;
 use dt_triage::RunReport;
@@ -274,6 +275,63 @@ fn metrics_endpoint_serves_prometheus_exposition() {
         .find("dt_server_ingest_frames_total", &[])
         .is_some_and(|m| m.value == dt_obs::MetricValue::Counter(20)));
     assert!(snap.find("dt_server_window_latency_us", &[]).is_some());
+}
+
+/// Hostile lines cost one rejected frame each, on both socket planes:
+/// 200,000-deep `[` nests — bare, inside a tuple frame's unknown key,
+/// and inside a command — which unbounded recursion would turn into a
+/// stack overflow that aborts the process, and a line past
+/// `MAX_LINE_BYTES` that arrives over many reads. The same connection
+/// then goes on ingesting, and the server keeps serving.
+#[test]
+fn hostile_lines_are_rejected_frames_not_crashes() {
+    for plane in [
+        IngestPlane::EventLoop { reactors: 1 },
+        IngestPlane::Threaded,
+    ] {
+        let mut catalog = Catalog::new();
+        catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
+        let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog);
+        cfg.window = Some(VDuration::from_secs(1));
+        cfg.ingest = plane;
+        let clock = Arc::new(VirtualClock::new());
+        let server = Server::start(&cfg, Some("127.0.0.1:0"), clock).expect("server starts");
+        let addr = server.addr().expect("bound address");
+        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+
+        let deep = "[".repeat(200_000);
+        for (k, line) in [
+            deep.clone(),
+            format!(r#"{{"stream":"R","row":[1],"x":{deep}}}"#),
+            format!(r#"{{"cmd":"list","x":{deep}}}"#),
+        ]
+        .iter()
+        .enumerate()
+        {
+            conn.write_all(format!("{line}\n").as_bytes())
+                .expect("deep line");
+            poll("deep line rejected", || {
+                fetch_stats(addr).unwrap().parse_errors == k as u64 + 1
+            });
+        }
+        let long = vec![b'x'; MAX_LINE_BYTES + 4096];
+        for chunk in long.chunks(64 * 1024) {
+            conn.write_all(chunk).expect("long line");
+        }
+        poll("long line rejected", || {
+            fetch_stats(addr).unwrap().parse_errors == 4
+        });
+        conn.write_all(b"rest of the long line\n{\"stream\":\"R\",\"row\":[1],\"ts\":5}\n")
+            .expect("frame");
+        poll("frame after the hostile lines", || {
+            fetch_stats(addr).unwrap().stream("R").unwrap().offered == 1
+        });
+        assert_eq!(fetch_stats(addr).unwrap().parse_errors, 4, "{plane:?}");
+
+        drop(conn);
+        let report = server.shutdown().expect("graceful shutdown");
+        assert_eq!(report.streams[0].offered, 1, "{plane:?}");
+    }
 }
 
 #[test]
