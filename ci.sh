@@ -172,6 +172,18 @@ CRITERION_BUDGET_MS=25 cargo bench -p dt-bench
 cargo run --release -p dt-bench --bin fig8 -- --quick
 cargo run --release -p dt-bench --bin bench_baseline -- --out /tmp/bench_smoke.json
 
+# Simulator output pin: the deterministic figure and ablation
+# binaries must print exactly the committed results/ text that
+# EXPERIMENTS.md quotes. fig6 and ablation_synopsis print wall-clock
+# timings, so they are not pinned.
+PIN_DIR=$(mktemp -d)
+for bin in fig8 fig9 ablation_burstlen ablation_cellwidth ablation_policy ablation_queue; do
+    (cd "$PIN_DIR" && cargo run --release --quiet --manifest-path "$OLDPWD/Cargo.toml" \
+        -p dt-bench --bin "$bin") > "$PIN_DIR/$bin.txt"
+    diff "$PIN_DIR/$bin.txt" "results/$bin.txt"
+done
+rm -rf "$PIN_DIR"
+
 # Perf-regression smoke: re-measure the headline metrics and fail if
 # any is >10 % worse than the committed BENCH_baseline.json after
 # machine-drift normalization (see bench_baseline's calibration

@@ -10,28 +10,25 @@
 //!   joins per the plan's [`dt_query::JoinGraph`], residual predicate
 //!   filtering, grouped aggregation (COUNT/SUM/AVG/MIN/MAX) or plain
 //!   projection with optional DISTINCT.
-//! * **Window buffering** ([`WindowBuffers`]): per-stream partitioning
-//!   of delivered tuples into tumbling windows keyed by the tuples'
-//!   own timestamps, with closable-window tracking.
 //! * **A virtual-clock cost model** ([`CostModel`]): the engine's
 //!   capacity is a per-tuple service time, the knob the experiments
 //!   sweep against the arrival rate (DESIGN.md §3 documents this
 //!   substitution for the paper's real Pentium 3 testbed).
 //!
 //! The load-shedding orchestration — triage queues, drop policies,
-//! shadow-query evaluation, merging — lives one layer up in
-//! `dt-triage`.
+//! per-window buffering of kept rows, shadow-query evaluation,
+//! merging — lives one layer up in `dt-triage`, whose `StreamTriage`
+//! hands each sealed window's rows to [`execute_window_cols`] as
+//! `ColumnBatch`es.
 
 pub mod aggregate;
 pub mod batch_exec;
 pub mod cost;
 pub mod exec;
 pub mod obs;
-pub mod window;
 
 pub use aggregate::{AggState, GroupArena};
 pub use batch_exec::execute_window_cols;
 pub use cost::CostModel;
 pub use exec::{execute_window, execute_window_ref, execute_window_rows, AggValue, WindowOutput};
 pub use obs::ExecMetrics;
-pub use window::WindowBuffers;

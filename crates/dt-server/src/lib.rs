@@ -108,7 +108,7 @@ pub use frame::{
     parse_frame, parse_incoming, render_frame, render_frame_tagged, Command, Frame, FrameAssembler,
     Incoming, Line, MAX_LINE_BYTES,
 };
-pub use server::{Server, ServerHandle};
+pub use server::{Server, ServerHandle, MAX_WINDOWS_AHEAD};
 pub use source::{run_source, Source, TraceSource};
 pub use stats::{query_info_json, ServerReport, ServerStats, StreamSnapshot};
 

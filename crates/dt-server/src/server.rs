@@ -48,6 +48,14 @@ const CONN_READ_TIMEOUT: Duration = Duration::from_millis(50);
 /// healthy seal already in flight.
 const WATCHDOG_REAL_GRACE: Duration = Duration::from_millis(200);
 
+/// How far past the clock's current window an offered tuple's
+/// timestamp may lie, in windows. A tuple further ahead is rejected
+/// at ingest: every window up to its own is materialized when the
+/// stream seals, so an unbounded timestamp (say, epoch microseconds
+/// fed to a server whose clock starts at zero) would stall the drain
+/// for as many windows as it skips.
+pub const MAX_WINDOWS_AHEAD: WindowId = 1024;
+
 enum MergerMsg {
     Stop,
 }
@@ -59,6 +67,10 @@ struct Inner {
     registry: Arc<QueryRegistry>,
     stats: Arc<ServerStats>,
     clock: Arc<dyn Clock>,
+    /// The clock's window at the merger's latest poll — the reading
+    /// ingest checks [`MAX_WINDOWS_AHEAD`] against, so a tuple with a
+    /// timestamp costs no clock read of its own.
+    clock_window: AtomicU64,
     mode: ShedMode,
     metrics: MetricsRegistry,
     obs: ServerObs,
@@ -192,6 +204,7 @@ impl ServerHandle {
         tenant: Option<&str>,
     ) -> DtResult<()> {
         let inner = &*self.inner;
+        self.check_ahead(tuple.ts)?;
         if tuple.arity() != shared.schema.arity() {
             return Err(DtError::schema(format!(
                 "tuple arity {} does not match stream '{}' arity {}",
@@ -249,6 +262,25 @@ impl ServerHandle {
                 }
             }
         }
+    }
+
+    /// Reject `ts` when its window lies more than [`MAX_WINDOWS_AHEAD`]
+    /// windows past the clock's. The merger's last reading decides
+    /// almost every tuple; only one past that bound reads the clock
+    /// afresh, in case the reading is stale.
+    fn check_ahead(&self, ts: Timestamp) -> DtResult<()> {
+        let inner = &*self.inner;
+        let spec = inner.registry.spec();
+        let w = spec.window_of(ts);
+        let within = |clock_w: WindowId| w <= clock_w.saturating_add(MAX_WINDOWS_AHEAD);
+        if within(inner.clock_window.load(Ordering::Relaxed))
+            || within(spec.window_of(inner.clock.now()))
+        {
+            return Ok(());
+        }
+        Err(DtError::config(format!(
+            "timestamp {ts} lies more than {MAX_WINDOWS_AHEAD} windows past the clock"
+        )))
     }
 
     /// Offer a frame line exactly as the TCP path does: resolve the
@@ -544,6 +576,7 @@ impl Server {
             registry,
             stats: Arc::clone(&stats),
             clock: Arc::clone(&clock),
+            clock_window: AtomicU64::new(spec.window_of(clock.now())),
             mode: cfg.mode,
             metrics: cfg.metrics.clone(),
             obs,
@@ -815,6 +848,9 @@ fn run_merger(
         }
 
         let now = inner.clock.now();
+        inner
+            .clock_window
+            .store(spec.window_of(now), Ordering::Relaxed);
 
         // The sealer watchdog: the watermark has covered `next_emit`
         // (a healthy worker seals promptly on the watermark message),

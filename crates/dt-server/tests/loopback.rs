@@ -11,7 +11,7 @@
 use dt_query::Catalog;
 use dt_server::{
     fetch_metrics, fetch_stats, Client, IngestPlane, MetricsRegistry, Server, ServerConfig,
-    VirtualClock, MAX_LINE_BYTES,
+    VirtualClock, MAX_LINE_BYTES, MAX_WINDOWS_AHEAD,
 };
 use dt_synopsis::SynopsisConfig;
 use dt_triage::RunReport;
@@ -331,6 +331,55 @@ fn hostile_lines_are_rejected_frames_not_crashes() {
         drop(conn);
         let report = server.shutdown().expect("graceful shutdown");
         assert_eq!(report.streams[0].offered, 1, "{plane:?}");
+    }
+}
+
+/// A timestamp far past the clock (1e12 µs against a clock at zero,
+/// a million one-second windows ahead) is a counted rejected frame,
+/// not a tuple: the connection keeps serving, and the shutdown drain
+/// does not seal the million windows in between.
+#[test]
+fn far_future_timestamp_is_rejected_and_drain_stays_fast() {
+    for plane in [
+        IngestPlane::EventLoop { reactors: 1 },
+        IngestPlane::Threaded,
+    ] {
+        let mut catalog = Catalog::new();
+        catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
+        let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog);
+        cfg.window = Some(VDuration::from_secs(1));
+        cfg.ingest = plane;
+        let clock = Arc::new(VirtualClock::new());
+        let server = Server::start(&cfg, Some("127.0.0.1:0"), clock).expect("server starts");
+        let addr = server.addr().expect("bound address");
+        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+        conn.write_all(b"{\"stream\":\"R\",\"row\":[1],\"ts\":1000000000000}\n")
+            .expect("far-future frame");
+        poll("far-future frame rejected", || {
+            fetch_stats(addr).unwrap().parse_errors == 1
+        });
+        // The last window still accepted, then one ordinary frame.
+        let edge = (MAX_WINDOWS_AHEAD + 1) * 1_000_000 - 1;
+        conn.write_all(format!("{{\"stream\":\"R\",\"row\":[2],\"ts\":{edge}}}\n").as_bytes())
+            .expect("edge frame");
+        conn.write_all(b"{\"stream\":\"R\",\"row\":[1],\"ts\":5}\n")
+            .expect("frame");
+        poll("frames after the rejected one", || {
+            fetch_stats(addr).unwrap().stream("R").unwrap().offered == 2
+        });
+        assert_eq!(fetch_stats(addr).unwrap().parse_errors, 1, "{plane:?}");
+
+        drop(conn);
+        let t0 = Instant::now();
+        let report = server.shutdown().expect("graceful shutdown");
+        let drain = t0.elapsed();
+        assert!(
+            drain < Duration::from_secs(1),
+            "{plane:?}: drain took {drain:?}"
+        );
+        assert_eq!(report.streams[0].offered, 2, "{plane:?}");
+        let last = report.reports[0].windows.last().expect("windows");
+        assert_eq!(last.window, MAX_WINDOWS_AHEAD, "{plane:?}");
     }
 }
 

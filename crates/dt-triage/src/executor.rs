@@ -281,9 +281,8 @@ impl QueryExecutor {
     }
 
     /// Exact execution of query `q` over one window's kept tuples,
-    /// one [`ColumnBatch`] per physical stream (the form
-    /// [`dt_engine::WindowBuffers::take_window`] hands out), through
-    /// the vectorized executor.
+    /// one [`ColumnBatch`] per physical stream, through the vectorized
+    /// executor.
     pub fn exact_batch_cols(&self, q: usize, shared: &[ColumnBatch]) -> DtResult<WindowOutput> {
         let query = self.query(q)?;
         let shared: Vec<&ColumnBatch> = shared.iter().collect();

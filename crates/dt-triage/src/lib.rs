@@ -27,17 +27,20 @@
 //!
 //! # Runtimes over the stages
 //!
-//! * [`Pipeline`] / [`SharedPipeline`] — the single-threaded
-//!   virtual-clock simulation: the engine consumes at its
-//!   [`dt_engine::CostModel`] service rate, and every experiment is
-//!   bit-reproducible from a seed. `SharedPipeline` runs many queries
-//!   over shared streams and shared synopses (§8.1).
-//! * [`QueryExecutor`] / [`StreamTriage`] — the stateless
-//!   window-close half and the per-stream fold/seal half, factored
-//!   out so the threaded `dt-server` runtime can drive the same
-//!   stages from worker and merger threads. Both runtimes close every
-//!   window through [`QueryExecutor::exact_batch_cols`]'s columnar
-//!   executor.
+//! * [`StreamTriage`] / [`QueryExecutor`] — the per-stream fold/seal
+//!   state and the stateless window-close half. Every runtime folds,
+//!   seals and closes through these two, so the runtimes differ only
+//!   in their clock and their threads.
+//! * [`SharedPipeline`] (and its one-query facade [`Pipeline`]) — the
+//!   single-threaded virtual-clock simulation: a driver over
+//!   per-stream [`TriageQueue`]s, an engine that consumes at its
+//!   [`dt_engine::CostModel`] service rate, and one `StreamTriage` per
+//!   stream. Every experiment is bit-reproducible from a seed.
+//!   `SharedPipeline` runs many queries over shared streams and
+//!   shared synopses (§8.1).
+//! * The threaded `dt-server` runtime drives the same `StreamTriage`
+//!   from worker threads and the same `QueryExecutor` from its merger
+//!   thread.
 //!
 //! # Choosing *when* to shed
 //!

@@ -1,15 +1,15 @@
 //! Triage-layer instruments.
 //!
-//! Two bundles, one per execution style:
+//! Two bundles:
 //!
 //! * [`TriageObs`] — owned by the single-threaded simulation
 //!   ([`crate::SharedPipeline`]): per-stream queue-depth gauges,
-//!   arrived/kept/dropped counters labeled by [`ShedMode`], a
-//!   windows-closed counter, and a *sampled* synopsis-insert latency
-//!   histogram.
-//! * [`StreamObs`] — owned by one server worker's
-//!   [`crate::StreamTriage`]: kept/shed/late counters per stream,
-//!   sharing the mode-labeled families with every other stream.
+//!   arrived/kept/dropped counters labeled by [`ShedMode`], and a
+//!   windows-closed counter.
+//! * [`StreamObs`] — owned by each [`crate::StreamTriage`], in the
+//!   simulator and in every server worker alike: kept/shed/late and
+//!   synopsis-insert counters per stream, plus the *sampled*
+//!   synopsis-insert and per-seal batch-flush latency histograms.
 //!
 //! The synopsis-insert histogram is sampled 1-in-[`SYNOPSIS_SAMPLE`]
 //! because reading the clock costs a meaningful fraction of the
@@ -36,14 +36,6 @@ pub struct TriageObs {
     pub dropped: Counter,
     /// Windows closed and emitted.
     pub windows_closed: Counter,
-    /// Sampled latency of folding one tuple into its windows'
-    /// synopses, µs.
-    pub synopsis_insert_us: Histogram,
-    /// Latency of one batched (columnar) synopsis flush at window
-    /// close, µs. Flushes happen once per window per stream, so this
-    /// is timed unsampled.
-    pub synopsis_batch_insert_us: Histogram,
-    tick: u64,
 }
 
 impl TriageObs {
@@ -82,29 +74,7 @@ impl TriageObs {
                 "Windows closed and emitted",
                 &[("mode", mode_label)],
             ),
-            synopsis_insert_us: reg.histogram(
-                "dt_triage_synopsis_insert_us",
-                "Sampled latency of folding one tuple into its windows' synopses, microseconds",
-                &[],
-            ),
-            synopsis_batch_insert_us: reg.histogram(
-                "dt_triage_synopsis_batch_insert_us",
-                "Latency of one batched columnar synopsis flush at window close, microseconds",
-                &[],
-            ),
-            tick: 0,
         }
-    }
-
-    /// True on every [`SYNOPSIS_SAMPLE`]-th call — the caller should
-    /// time this synopsis insert.
-    #[inline]
-    pub fn sample_synopsis(&mut self) -> bool {
-        if !self.synopsis_insert_us.is_enabled() {
-            return false;
-        }
-        self.tick = self.tick.wrapping_add(1);
-        self.tick.is_multiple_of(SYNOPSIS_SAMPLE)
     }
 }
 
@@ -161,7 +131,8 @@ impl ControllerGauges {
     }
 }
 
-/// Instruments for one server worker's per-stream triage state.
+/// Instruments for one [`crate::StreamTriage`]. Its counters are
+/// added at each seal, not per tuple.
 #[derive(Debug, Clone, Default)]
 pub struct StreamObs {
     /// Tuples folded as kept on this stream.
@@ -179,6 +150,8 @@ pub struct StreamObs {
     /// Shared sampled synopsis-insert latency, µs.
     pub synopsis_insert_us: Histogram,
     /// Latency of one batched (columnar) synopsis flush at seal, µs.
+    /// Flushes happen once per window per stream, so this is timed
+    /// unsampled.
     pub synopsis_batch_insert_us: Histogram,
     tick: u64,
 }

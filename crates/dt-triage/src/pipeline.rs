@@ -9,16 +9,20 @@
 //! [`DropPolicy`] and — in Data Triage mode — folded into the current
 //! window's *dropped* synopsis, while every processed tuple is also
 //! folded into the *kept* synopsis (so the shadow query never joins a
-//! synopsis against raw tuples, exactly as §5.1 arranges).
+//! synopsis against raw tuples, exactly as §5.1 arranges). Both folds
+//! happen in the stream's [`crate::StreamTriage`], the same per-stream
+//! state the threaded server drives.
 //!
 //! A window `w` closes once neither future arrivals nor queued
-//! backlog can contribute to it; the pipeline then runs the exact
-//! engine on the kept rows, evaluates the shadow plan over the sealed
-//! synopses, merges the two, and emits a [`WindowResult`].
+//! backlog can contribute to it; the pipeline then seals it on every
+//! stream, runs the exact engine on the kept rows, evaluates the
+//! shadow plan over the sealed synopses, merges the two, and emits a
+//! [`WindowResult`].
 //!
 //! [`Pipeline`] is the one-query facade over [`crate::SharedPipeline`]
 //! — the multi-query engine that §8.1's shared-synopses discussion
-//! asks for.
+//! asks for. It adds no behaviour of its own; it only saves
+//! single-query callers the `Vec` of plans and reports.
 
 use dt_engine::CostModel;
 
@@ -236,17 +240,6 @@ impl Pipeline {
     /// order across all streams.
     pub fn offer(&mut self, stream: usize, tuple: Tuple) -> DtResult<()> {
         self.inner.offer(stream, tuple)
-    }
-
-    /// Feed a batch of time-ordered arrivals on one stream. Produces
-    /// exactly the same shed decisions and results as per-tuple
-    /// [`Pipeline::offer`] calls, while validating the stream once.
-    pub fn offer_batch(
-        &mut self,
-        stream: usize,
-        tuples: impl IntoIterator<Item = Tuple>,
-    ) -> DtResult<()> {
-        self.inner.offer_batch(stream, tuples)
     }
 
     /// Drain queues and close every remaining window, returning the

@@ -150,39 +150,6 @@ impl TriageQueue {
         victim
     }
 
-    /// Offer a whole batch of tuples in order, appending every victim
-    /// (in shed order) to `victims` — the caller owns and reuses the
-    /// buffer across batches. Returns the number of victims appended.
-    ///
-    /// Bit-identical to one [`TriageQueue::push`] call per tuple: the
-    /// same drop policy decisions are made against the same RNG
-    /// stream, so batched and per-tuple ingest shed exactly the same
-    /// tuples.
-    pub fn push_batch(
-        &mut self,
-        tuples: impl IntoIterator<Item = Tuple>,
-        dropped_synopsis: Option<&Synopsis>,
-        victims: &mut Vec<Tuple>,
-    ) -> usize {
-        let before = victims.len();
-        for t in tuples {
-            if let Some(v) = self.push(t, dropped_synopsis) {
-                victims.push(v);
-            }
-        }
-        victims.len() - before
-    }
-
-    /// Drain up to `max` buffered tuples, oldest first, appending them
-    /// to `out` (a caller-owned reusable buffer). Returns how many
-    /// were drained.
-    pub fn drain_into(&mut self, max: usize, out: &mut Vec<Tuple>) -> usize {
-        let n = max.min(self.items.len());
-        out.reserve(n);
-        out.extend(self.items.drain(..n));
-        n
-    }
-
     /// The synergistic policy: sample a few candidates and prefer one
     /// whose row the synopsis already covers (costs no new cell /
     /// bucket / sample slot); otherwise fall back to a random victim.

@@ -1,12 +1,11 @@
-//! A tiny ordered map keyed by [`WindowId`], tuned for the pipeline's
+//! A tiny ordered map keyed by [`WindowId`], tuned for triage's
 //! access pattern.
 //!
-//! The pipeline keeps per-window state (stats, synopsis pairs,
-//! pending synopsis points) for the handful of windows that are open
-//! at once — almost always one or two, a few for hopping specs. Every
-//! arriving tuple touches this state two or three times, so the
-//! generic `BTreeMap` it used to live in paid a tree descent per
-//! touch. A sorted vector with a last-entry fast path makes the
+//! [`crate::StreamTriage`] keeps per-window state (rows, counts,
+//! synopsis pairs, pending synopsis points) for the handful of windows
+//! that are open at once — almost always one or two, a few for hopping
+//! specs. Every folded tuple touches this state, so a generic
+//! `BTreeMap` would pay a tree descent per touch. A sorted vector with a last-entry fast path makes the
 //! common case (time-ordered arrivals hitting the newest window) one
 //! comparison, while keeping oldest-first iteration for window close.
 
@@ -38,27 +37,11 @@ impl<T> WinMap<T> {
         }
     }
 
-    pub fn get(&self, w: WindowId) -> Option<&T> {
-        self.pos(w).ok().map(|i| &self.entries[i].1)
-    }
-
     pub fn get_mut(&mut self, w: WindowId) -> Option<&mut T> {
         self.pos(w).ok().map(|i| &mut self.entries[i].1)
     }
 
-    /// Mutable access, inserting `make()` first if `w` is absent.
-    pub fn get_or_insert_with(&mut self, w: WindowId, make: impl FnOnce() -> T) -> &mut T {
-        let i = match self.pos(w) {
-            Ok(i) => i,
-            Err(i) => {
-                self.entries.insert(i, (w, make()));
-                i
-            }
-        };
-        &mut self.entries[i].1
-    }
-
-    /// [`WinMap::get_or_insert_with`] for fallible constructors; the
+    /// Mutable access, inserting `make()` first if `w` is absent; the
     /// map is unchanged when `make` errors.
     pub fn get_or_try_insert_with(
         &mut self,
@@ -80,9 +63,9 @@ impl<T> WinMap<T> {
         self.entries.first().map(|&(w, _)| w)
     }
 
-    /// All window ids, oldest first.
-    pub fn ids(&self) -> impl Iterator<Item = WindowId> + '_ {
-        self.entries.iter().map(|&(w, _)| w)
+    /// The newest window's id, if any.
+    pub fn last_id(&self) -> Option<WindowId> {
+        self.entries.last().map(|&(w, _)| w)
     }
 
     pub fn remove(&mut self, w: WindowId) -> Option<T> {
@@ -94,24 +77,28 @@ impl<T> WinMap<T> {
 mod tests {
     use super::*;
 
+    fn ins<T>(m: &mut WinMap<T>, w: WindowId, v: T) -> &mut T {
+        m.get_or_try_insert_with(w, || Ok(v)).unwrap()
+    }
+
     #[test]
     fn insert_ordered_and_out_of_order() {
         let mut m: WinMap<&str> = WinMap::new();
-        *m.get_or_insert_with(5, || "e") = "five";
-        *m.get_or_insert_with(1, || "a") = "one";
-        *m.get_or_insert_with(3, || "c") = "three";
-        assert_eq!(m.ids().collect::<Vec<_>>(), vec![1, 3, 5]);
+        *ins(&mut m, 5, "e") = "five";
+        *ins(&mut m, 1, "a") = "one";
+        *ins(&mut m, 3, "c") = "three";
         assert_eq!(m.first_id(), Some(1));
-        assert_eq!(m.get(3), Some(&"three"));
-        assert_eq!(m.get(2), None);
+        assert_eq!(m.last_id(), Some(5));
+        assert_eq!(m.get_mut(3).copied(), Some("three"));
+        assert_eq!(m.get_mut(2), None);
     }
 
     #[test]
     fn get_or_insert_reuses_existing() {
         let mut m: WinMap<u32> = WinMap::new();
-        *m.get_or_insert_with(7, || 1) += 1;
-        *m.get_or_insert_with(7, || 100) += 1;
-        assert_eq!(m.get(7), Some(&3));
+        *ins(&mut m, 7, 1) += 1;
+        *ins(&mut m, 7, 100) += 1;
+        assert_eq!(m.get_mut(7).copied(), Some(3));
     }
 
     #[test]
@@ -120,7 +107,7 @@ mod tests {
         assert!(m
             .get_or_try_insert_with(2, || Err(dt_types::DtError::config("nope")))
             .is_err());
-        assert_eq!(m.get(2), None);
+        assert_eq!(m.get_mut(2), None);
         assert_eq!(*m.get_or_try_insert_with(2, || Ok(9)).unwrap(), 9);
     }
 
@@ -128,10 +115,12 @@ mod tests {
     fn remove_keeps_order() {
         let mut m: WinMap<u32> = WinMap::new();
         for w in [0, 1, 2] {
-            m.get_or_insert_with(w, || w as u32);
+            ins(&mut m, w, w as u32);
         }
         assert_eq!(m.remove(1), Some(1));
         assert_eq!(m.remove(1), None);
-        assert_eq!(m.ids().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(m.first_id(), Some(0));
+        assert_eq!(m.last_id(), Some(2));
+        assert_eq!(m.get_mut(2).copied(), Some(2));
     }
 }

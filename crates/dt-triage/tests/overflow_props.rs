@@ -3,7 +3,7 @@
 //! The paper's accounting identity — every tuple offered to a triage
 //! queue is either *kept* (reaches exact processing) or *dropped*
 //! (reaches the dropped synopsis), never both, never neither — must
-//! hold for **any** interleaving of `push_batch`/`drain_into` calls,
+//! hold for **any** interleaving of `push`/`pop` runs,
 //! any capacity, and any drop policy. Likewise at the [`StreamTriage`]
 //! layer: the per-window counters and the kept/dropped synopsis masses
 //! must exactly partition the arrivals.
@@ -29,7 +29,7 @@ fn policy(idx: usize) -> DropPolicy {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any interleaving of batched offers and partial drains conserves
+    /// Any interleaving of offer runs and partial drains conserves
     /// tuples: `kept + dropped == offered`, and the kept/dropped
     /// synopses hold exactly those masses.
     #[test]
@@ -37,52 +37,41 @@ proptest! {
         capacity in 1usize..24,
         pol in 0usize..4,
         seed in any::<u64>(),
-        // (is_push, size, value-base) per step. Drains use `size` as
-        // their `max`; pushes offer `size` tuples.
+        // (is_push, size, value-base) per step. A push step offers
+        // `size` tuples one `push` at a time; a drain step pops up to
+        // `size`.
         ops in prop::collection::vec((any::<bool>(), 0usize..12, 0i64..40), 1..32),
     ) {
         let mut q = TriageQueue::new(capacity, policy(pol), seed).unwrap();
         let syn_cfg = SynopsisConfig::default_sparse();
         let mut kept_syn = syn_cfg.build(1).unwrap();
         let mut dropped_syn = syn_cfg.build(1).unwrap();
-        let mut victims: Vec<Tuple> = Vec::new();
-        let mut drained: Vec<Tuple> = Vec::new();
+        let value = |t: &Tuple| t.row.values()[0].as_i64().unwrap();
         let mut offered: u64 = 0;
         let mut ts: u64 = 0;
         let mut kept_count: u64 = 0;
         let mut dropped_count: u64 = 0;
         for (is_push, size, base) in ops {
-            if is_push {
-                let batch: Vec<Tuple> = (0..size)
-                    .map(|k| {
-                        ts += 1;
-                        tup(base + k as i64, ts)
-                    })
-                    .collect();
-                offered += batch.len() as u64;
-                victims.clear();
-                q.push_batch(batch, Some(&dropped_syn), &mut victims);
-                for v in &victims {
-                    dropped_count += 1;
-                    dropped_syn.insert(&[v.row.values()[0].as_i64().unwrap()]).unwrap();
-                }
-            } else {
-                drained.clear();
-                q.drain_into(size, &mut drained);
-                for t in &drained {
+            for k in 0..size {
+                if is_push {
+                    ts += 1;
+                    offered += 1;
+                    if let Some(v) = q.push(tup(base + k as i64, ts), Some(&dropped_syn)) {
+                        dropped_count += 1;
+                        dropped_syn.insert(&[value(&v)]).unwrap();
+                    }
+                } else if let Some(t) = q.pop() {
                     kept_count += 1;
-                    kept_syn.insert(&[t.row.values()[0].as_i64().unwrap()]).unwrap();
+                    kept_syn.insert(&[value(&t)]).unwrap();
                 }
+                // The live queue never exceeds its bound.
+                prop_assert!(q.len() <= capacity);
             }
-            // The live queue never exceeds its bound.
-            prop_assert!(q.len() <= capacity);
         }
         // Final full drain: whatever is still buffered is kept.
-        drained.clear();
-        q.drain_into(usize::MAX, &mut drained);
-        for t in &drained {
+        while let Some(t) = q.pop() {
             kept_count += 1;
-            kept_syn.insert(&[t.row.values()[0].as_i64().unwrap()]).unwrap();
+            kept_syn.insert(&[value(&t)]).unwrap();
         }
         prop_assert!(q.is_empty());
         prop_assert_eq!(q.total_pushed(), offered);
