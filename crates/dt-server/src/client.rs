@@ -349,8 +349,12 @@ impl StatsReply {
     }
 
     /// Parse a `/stats` body — the JSON object the server sends, or
-    /// the legacy `key value` text format.
+    /// the legacy `key value` text format. An empty body (a reply cut
+    /// off right after its headers) is an error, not a zero snapshot.
     pub fn parse(body: &str) -> DtResult<StatsReply> {
+        if body.trim().is_empty() {
+            return Err(DtError::config("empty stats reply"));
+        }
         if body.trim_start().starts_with('{') {
             return Self::parse_json(body);
         }
@@ -480,6 +484,12 @@ mod tests {
         assert_eq!(reply.parse_errors, 1);
         assert_eq!(reply.windows_degraded, 0);
         assert!(reply.stream("S").is_none());
+    }
+
+    #[test]
+    fn stats_reply_rejects_an_empty_body() {
+        assert!(StatsReply::parse("").is_err());
+        assert!(StatsReply::parse(" \r\n").is_err());
     }
 
     #[test]

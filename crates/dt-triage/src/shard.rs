@@ -286,7 +286,9 @@ impl<T> ShardQueues<T> {
 ///
 /// With one part this still finishes the deferred synopsis seal, so
 /// the unsharded (`shards = 1`) plane takes exactly the same code
-/// path — merging one partial is the identity.
+/// path. Merging one partial is the identity up to row order: a
+/// thief's part can hold its own and stolen tuples interleaved out of
+/// arrival order, so sequence-tagged rows are re-sorted here too.
 ///
 /// # Errors
 /// Errors if `parts` is empty, the parts disagree on stream or
@@ -299,6 +301,15 @@ pub fn merge_sealed(mut parts: Vec<SealedWindow>) -> DtResult<SealedWindow> {
     parts.sort_by_key(|p| p.shard);
     if parts.len() == 1 {
         let mut only = parts.pop().expect("checked non-empty");
+        let tagged = only.seqs.len() == only.rows.len();
+        if tagged && only.seqs.windows(2).any(|p| p[0] > p[1]) {
+            let mut rows: Vec<(u64, Row)> = std::mem::take(&mut only.seqs)
+                .into_iter()
+                .zip(std::mem::take(&mut only.rows))
+                .collect();
+            rows.sort_unstable_by_key(|&(seq, _)| seq);
+            (only.seqs, only.rows) = rows.into_iter().unzip();
+        }
         if let Some(pair) = &mut only.syn {
             pair.kept.seal();
             pair.dropped.seal();
@@ -590,6 +601,24 @@ mod tests {
             assert_eq!(x.seqs, y.seqs, "no batch lost or duplicated");
             assert_eq!(x.syn, y.syn);
         }
+    }
+
+    #[test]
+    fn merging_one_part_restores_arrival_order() {
+        // A worker that stole newer tuples before draining its own
+        // older ones folds them out of sequence order; when it is the
+        // only shard holding the window, the merge must still re-sort.
+        let cfg = SynopsisConfig::Sparse { cell_width: 10 };
+        let mut thief = StreamTriage::new(0, 1, ShedMode::DataTriage, cfg, spec()).sharded(1);
+        for (v, seq) in [(3, 3), (1, 1), (4, 4), (0, 0), (2, 2)] {
+            thief.keep_seq(&tup(v, 1_000 + seq), seq).unwrap();
+        }
+        let parts = thief.seal_all().unwrap();
+        assert_eq!(parts[0].seqs, vec![3, 1, 4, 0, 2]);
+        let merged = merge_sealed(parts).unwrap();
+        assert_eq!(merged.seqs, vec![0, 1, 2, 3, 4]);
+        let want: Vec<Row> = (0..5).map(|v| Row::from_ints(&[v])).collect();
+        assert_eq!(merged.rows, want);
     }
 
     #[test]
