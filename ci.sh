@@ -26,11 +26,11 @@ cargo test -q --workspace --doc
 RUSTFLAGS=-Dwarnings cargo test -q -p dt-server --test chaos -- --test-threads=1
 RUSTFLAGS=-Dwarnings cargo test -q -p dt-server --test drain -- --test-threads=1
 
-# End-to-end correctness smoke: short e2ebench runs of the two
-# ingest-heavy workloads. Every generated frame must be decoded and
-# offered, and every unshed window must equal the offline ideal; the
-# last stdout line says "correct": true (e2ebench/README.md).
-for workload in fanout-ingest bursty-join; do
+# End-to-end correctness smoke: short e2ebench runs of every
+# workload. Every generated frame must be decoded and offered, and
+# every unshed window must equal the offline ideal; the last stdout
+# line says "correct": true (e2ebench/README.md).
+for workload in fig7-join fanout-ingest bursty-join; do
     cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml -- \
         --workload "$workload" --seed 7 --seconds 2 --trace 0 \
         | tail -n 1 | grep -q '"correct": true'

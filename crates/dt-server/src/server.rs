@@ -31,12 +31,13 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How often the merger wakes to check the clock, and how often
-/// blocked connection reads re-check the stop flag.
+/// The longest the merger blocks on its inbox before re-reading the
+/// clock (it wakes sooner for a message or the next seal deadline),
+/// and how often blocked connection reads re-check the stop flag.
 const MERGER_POLL: Duration = Duration::from_millis(2);
 const CONN_READ_TIMEOUT: Duration = Duration::from_millis(50);
 
@@ -56,7 +57,14 @@ const WATCHDOG_REAL_GRACE: Duration = Duration::from_millis(200);
 /// for as many windows as it skips.
 pub const MAX_WINDOWS_AHEAD: WindowId = 1024;
 
-enum MergerMsg {
+/// The merger's one inbox: the workers' sealed windows and, after
+/// every worker has joined, the stop request. The channel is FIFO, so
+/// every seal a worker sent arrives before `Stop`.
+pub(crate) enum MergerMsg {
+    /// One (stream, shard) partial of a sealed window (boxed: a
+    /// sealed window is hundreds of bytes, `Stop` is none).
+    Sealed(Box<SealedWindow>),
+    /// Every worker has drained and exited: emit what is left, return.
     Stop,
 }
 
@@ -416,8 +424,8 @@ impl ServerHandle {
     }
 }
 
-/// A running server. Dropping it without [`Server::shutdown`] detaches
-/// the threads; call `shutdown` to drain and collect the report.
+/// A running server. Call [`Server::shutdown`] to drain and collect
+/// the report; dropping it runs the same drain and discards the report.
 pub struct Server {
     handle: ServerHandle,
     addr: Option<SocketAddr>,
@@ -507,7 +515,7 @@ impl Server {
         let mut routers = Vec::new();
         let mut ctl_tx = Vec::new();
         let mut workers = Vec::new();
-        let (sealed_tx, sealed_rx) = unbounded::<SealedWindow>();
+        let (merger_tx, merger_rx) = unbounded::<MergerMsg>();
         for (i, s) in registry.streams().iter().enumerate() {
             // The whole group drains one backlog: the controller's
             // threshold scales with the number of drains.
@@ -537,7 +545,7 @@ impl Server {
                     factory,
                     queues: Arc::clone(&q),
                     ctl_rx: crx,
-                    sealed_tx: sealed_tx.clone(),
+                    merger_tx: merger_tx.clone(),
                     clock: Arc::clone(&clock),
                     pace: cfg.pace_by_timestamp,
                     spec,
@@ -570,7 +578,6 @@ impl Server {
             }
             queues.push(q);
         }
-        drop(sealed_tx);
 
         let inner = Arc::new(Inner {
             registry,
@@ -595,23 +602,13 @@ impl Server {
             inner: Arc::clone(&inner),
         };
 
-        let (merger_tx, merger_rx) = unbounded::<MergerMsg>();
         let merger_inner = Arc::clone(&inner);
         let synopsis = cfg.synopsis;
         let grace = cfg.grace;
         let watchdog = cfg.seal_watchdog;
         let merger = std::thread::Builder::new()
             .name("dt-merger".to_string())
-            .spawn(move || {
-                run_merger(
-                    merger_inner,
-                    synopsis,
-                    grace,
-                    watchdog,
-                    sealed_rx,
-                    merger_rx,
-                )
-            })
+            .spawn(move || run_merger(merger_inner, synopsis, grace, watchdog, merger_rx))
             .map_err(|e| DtError::engine(format!("spawn merger: {e}")))?;
 
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -694,6 +691,17 @@ impl Server {
     /// queued tuples are consumed, all open windows sealed), merge
     /// the remaining windows, and return the final report.
     pub fn shutdown(mut self) -> DtResult<ServerReport> {
+        self.stop_threads()
+    }
+
+    /// The shutdown sequence behind both [`Server::shutdown`] and
+    /// `Drop`: stop the acceptor, connections and reactors, drain and
+    /// join every worker, then stop and join the merger. Runs once;
+    /// the merger handle it takes marks the server stopped.
+    fn stop_threads(&mut self) -> DtResult<ServerReport> {
+        let Some(merger) = self.merger.take() else {
+            return Err(DtError::engine("server already stopped"));
+        };
         let inner = &self.handle.inner;
         inner.stop.store(true, Ordering::SeqCst);
         if let Some(addr) = self.addr {
@@ -703,7 +711,10 @@ impl Server {
         if let Some(acc) = self.acceptor.take() {
             let _ = acc.join();
         }
-        let conns = std::mem::take(&mut *self.conns.lock().expect("conns lock"));
+        // This also runs in `Drop`, which must not panic: a poisoned
+        // list is still a valid list of handles (a push either landed
+        // or did not).
+        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
         for c in conns {
             let _ = c.join();
         }
@@ -732,8 +743,10 @@ impl Server {
                 }
             }
         }
+        // Every worker has joined, so every seal is already queued
+        // ahead of this Stop in the merger's inbox.
         let _ = self.merger_tx.send(MergerMsg::Stop);
-        let report = match self.merger.take().expect("merger running").join() {
+        let report = match merger.join() {
             Ok(r) => r,
             Err(_) => Err(DtError::engine("merger thread panicked")),
         };
@@ -741,6 +754,15 @@ impl Server {
             Some(e) => Err(e),
             None => report,
         }
+    }
+}
+
+/// Dropping a server that was never shut down runs the same drain and
+/// discards the report, so no server thread outlives it.
+impl Drop for Server {
+    fn drop(&mut self) {
+        // After `shutdown` this is a no-op: the merger is already taken.
+        let _ = self.stop_threads();
     }
 }
 
@@ -758,17 +780,45 @@ enum Fill {
     Forced,
 }
 
+/// The newest window whose end plus `grace` has passed at `now` —
+/// the seal watermark — or `None` before window 0's deadline.
+fn seal_watermark(now: Timestamp, spec: WindowSpec, grace: VDuration) -> Option<WindowId> {
+    let lag = (spec.width() + grace).micros();
+    now.micros()
+        .checked_sub(lag)
+        .map(|since| since / spec.slide().micros())
+}
+
+/// How long the merger may block on its inbox at `now`: until the
+/// next seal watermark is due — the end of window `last_seal + 1`
+/// (window 0 before any seal) plus `grace` — but never longer than
+/// [`MERGER_POLL`]. The cap keeps a [`dt_types::VirtualClock`] (which
+/// moves only when a test moves it), the watchdog and the
+/// `clock_window` reading ingest checks against all serviced.
+fn merger_wait(
+    now: Timestamp,
+    last_seal: Option<WindowId>,
+    spec: WindowSpec,
+    grace: VDuration,
+) -> Duration {
+    let next = last_seal.map_or(0, |s| s + 1);
+    let due = spec.window_end(next).micros() + grace.micros();
+    MERGER_POLL.min(Duration::from_micros(due.saturating_sub(now.micros())))
+}
+
 /// The merger loop: collect sealed per-stream windows, emit each
 /// window (strictly in id order) once every stream has sealed it,
 /// drive the seal watermark off the clock, and force-seal past
-/// stalled workers once the watchdog deadline passes.
+/// stalled workers once the watchdog deadline passes. It wakes on
+/// every inbox message and at every seal deadline ([`merger_wait`]),
+/// so a watermark goes out when it is due and a window is emitted as
+/// soon as its last partial arrives.
 fn run_merger(
     inner: Arc<Inner>,
     synopsis: SynopsisConfig,
     grace: VDuration,
     watchdog: Option<VDuration>,
-    sealed_rx: Receiver<SealedWindow>,
-    merger_rx: Receiver<MergerMsg>,
+    inbox: Receiver<MergerMsg>,
 ) -> DtResult<ServerReport> {
     let registry = &inner.registry;
     let spec = registry.spec();
@@ -785,27 +835,26 @@ fn run_merger(
     let mut last_seal: Option<WindowId> = None;
     let mut last_seal_sent = std::time::Instant::now();
 
-    // Seals for windows below `next_emit` are *stale*: the watchdog
-    // already force-sealed them, and a late contribution must not
-    // resurrect an emitted window.
-    let collect = |pending: &mut BTreeMap<WindowId, Vec<Option<SealedWindow>>>,
-                   next_emit: WindowId| {
-        for s in sealed_rx.try_iter() {
-            if s.window < next_emit {
-                continue;
-            }
-            let (win, slot) = (s.window, s.stream * shards + s.shard);
-            pending.entry(win).or_insert_with(|| vec![None; n_slots])[slot] = Some(s);
-        }
-    };
-
     loop {
-        let stop = match merger_rx.recv_timeout(MERGER_POLL) {
-            Ok(MergerMsg::Stop) => true,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => false,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => true,
+        let wait = merger_wait(inner.clock.now(), last_seal, spec, grace);
+        let (first, mut stop) = match inbox.recv_timeout(wait) {
+            Ok(msg) => (Some(msg), false),
+            Err(crossbeam::channel::RecvTimeoutError::Timeout) => (None, false),
+            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => (None, true),
         };
-        collect(&mut pending, next_emit);
+        for msg in first.into_iter().chain(inbox.try_iter()) {
+            match msg {
+                // Seals for windows below `next_emit` are *stale*: the
+                // watchdog already force-sealed them, and a late
+                // contribution must not resurrect an emitted window.
+                MergerMsg::Sealed(s) if s.window >= next_emit => {
+                    let (win, slot) = (s.window, s.stream * shards + s.shard);
+                    pending.entry(win).or_insert_with(|| vec![None; n_slots])[slot] = Some(*s);
+                }
+                MergerMsg::Sealed(_) => {}
+                MergerMsg::Stop => stop = true,
+            }
+        }
 
         if stop {
             // Workers have drained and joined; every sealed window is
@@ -887,20 +936,18 @@ fn run_merger(
 
         // Advance the seal watermark: every window whose end (plus
         // grace) has passed gets sealed on all streams.
-        let lag = (spec.width() + grace).micros();
-        if now.micros() >= lag {
-            let upto = (now.micros() - lag) / spec.slide().micros();
-            if last_seal.is_none_or(|s| upto > s) {
-                inner
-                    .obs
-                    .sealer_lag_us
-                    .set(now.micros().saturating_sub(spec.window_end(upto).micros()) as i64);
-                for tx in &inner.ctl_tx {
-                    let _ = tx.send(Ctl::Seal(upto));
-                }
-                last_seal = Some(upto);
-                last_seal_sent = std::time::Instant::now();
+        if let Some(upto) =
+            seal_watermark(now, spec, grace).filter(|&u| last_seal.is_none_or(|s| u > s))
+        {
+            inner
+                .obs
+                .sealer_lag_us
+                .set(now.micros().saturating_sub(spec.window_end(upto).micros()) as i64);
+            for tx in &inner.ctl_tx {
+                let _ = tx.send(Ctl::Seal(upto));
             }
+            last_seal = Some(upto);
+            last_seal_sent = std::time::Instant::now();
         }
     }
 
@@ -1256,5 +1303,87 @@ fn serve_conn(stream: TcpStream, handle: ServerHandle) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ms(v: u64) -> Timestamp {
+        Timestamp::from_micros(v * 1000)
+    }
+
+    /// 100 ms tumbling windows with a 60 ms grace: window `w` is due
+    /// at `w * 100 + 160` ms.
+    fn tumbling() -> (WindowSpec, VDuration) {
+        (
+            WindowSpec::new(VDuration::from_millis(100)).unwrap(),
+            VDuration::from_millis(60),
+        )
+    }
+
+    /// At the instant `merger_wait` reaches zero the watermark covers
+    /// the awaited window, and one microsecond earlier it does not:
+    /// the merger neither wakes late nor spins on a deadline it cannot
+    /// yet act on.
+    fn assert_deadline_matches_watermark(
+        last_seal: Option<WindowId>,
+        spec: WindowSpec,
+        grace: VDuration,
+        due: Timestamp,
+    ) {
+        let next = last_seal.map_or(0, |s| s + 1);
+        assert_eq!(merger_wait(due, last_seal, spec, grace), Duration::ZERO);
+        assert_eq!(seal_watermark(due, spec, grace), Some(next));
+        let before = Timestamp::from_micros(due.micros() - 1);
+        assert_eq!(
+            merger_wait(before, last_seal, spec, grace),
+            Duration::from_micros(1)
+        );
+        assert_eq!(seal_watermark(before, spec, grace), last_seal);
+    }
+
+    #[test]
+    fn wait_runs_to_the_first_deadline() {
+        let (spec, grace) = tumbling();
+        let now = Timestamp::from_micros(158_500);
+        assert_eq!(
+            merger_wait(now, None, spec, grace),
+            Duration::from_micros(1_500)
+        );
+        assert_eq!(seal_watermark(now, spec, grace), None);
+        assert_deadline_matches_watermark(None, spec, grace, ms(160));
+    }
+
+    #[test]
+    fn wait_is_zero_at_and_past_a_deadline() {
+        let (spec, grace) = tumbling();
+        assert_deadline_matches_watermark(Some(3), spec, grace, ms(560));
+        // A merger that wakes late (a stalled host) seals at once.
+        assert_eq!(merger_wait(ms(900), Some(3), spec, grace), Duration::ZERO);
+    }
+
+    #[test]
+    fn wait_far_ahead_is_capped_at_the_poll() {
+        let (spec, grace) = tumbling();
+        assert_eq!(merger_wait(ms(0), None, spec, grace), MERGER_POLL);
+        assert_eq!(merger_wait(ms(561), Some(4), spec, grace), MERGER_POLL);
+    }
+
+    #[test]
+    fn wait_follows_a_hopping_slide() {
+        // Width 100 ms, slide 25 ms, grace 10 ms: window `w` ends at
+        // `w * 25 + 100` ms, so window 3 is due at 185 ms — a slide,
+        // not a width, after window 2.
+        let spec =
+            WindowSpec::hopping(VDuration::from_millis(100), VDuration::from_millis(25)).unwrap();
+        let grace = VDuration::from_millis(10);
+        assert_eq!(
+            merger_wait(ms(184), Some(2), spec, grace),
+            Duration::from_millis(1)
+        );
+        assert_deadline_matches_watermark(Some(2), spec, grace, ms(185));
+        assert_deadline_matches_watermark(None, spec, grace, ms(110));
     }
 }

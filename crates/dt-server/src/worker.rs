@@ -1,11 +1,13 @@
 //! The per-stream triage worker thread and its panic supervisor.
 //!
-//! Each worker owns one stream's [`StreamTriage`] and two inbound
-//! lanes: the **bounded data channel** (the triage queue — ingest
-//! `try_send`s kept tuples here) and an unbounded **control lane**
-//! carrying shed victims, seal watermarks, and the stop request.
-//! Control is drained first so a full data channel can never starve
-//! sealing or victim accounting.
+//! Each worker owns one shard of a stream's [`StreamTriage`] and two
+//! inbound lanes: its **bounded shard queue** in the stream's
+//! [`ShardQueues`] (the triage queue — ingest pushes kept tuples
+//! there) and an unbounded **control lane** carrying shed victims,
+//! seal watermarks, and the stop request. Control is drained first so
+//! a full queue can never starve sealing or victim accounting. Every
+//! sealed partial goes to the merger's one inbox as
+//! [`MergerMsg::Sealed`].
 //!
 //! With `pace` set, the worker refuses to consume a tuple before the
 //! server clock reaches its timestamp, holding at most **one** tuple
@@ -31,6 +33,7 @@
 
 use crate::fault::FaultPlan;
 use crate::obs::WorkerObs;
+use crate::server::MergerMsg;
 use crate::stats::ServerStats;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use dt_obs::{Counter, MetricsRegistry};
@@ -102,7 +105,8 @@ pub(crate) struct WorkerCtx {
     /// queue `shard` and steals from siblings when idle.
     pub queues: Arc<ShardQueues<SeqTuple>>,
     pub ctl_rx: Receiver<Ctl>,
-    pub sealed_tx: Sender<SealedWindow>,
+    /// The merger's inbox, where every sealed partial goes.
+    pub merger_tx: Sender<MergerMsg>,
     pub clock: Arc<dyn Clock>,
     pub pace: bool,
     pub spec: WindowSpec,
@@ -165,6 +169,15 @@ fn consume_batch(
     Ok(())
 }
 
+/// Hand sealed partials to the merger. A send fails only once the
+/// merger has exited (on an error of its own); the seals have nowhere
+/// left to go then.
+fn send_sealed(merger_tx: &Sender<MergerMsg>, sealed: Vec<SealedWindow>) {
+    for w in sealed {
+        let _ = merger_tx.send(MergerMsg::Sealed(Box::new(w)));
+    }
+}
+
 /// Bump the cumulative consumed count by `n` and panic at the first
 /// tuple the fault plan marks. Called *after* the tuples are folded,
 /// so the triage the supervisor inspects post-panic is consistent.
@@ -191,7 +204,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx) -> DtResult<()> {
         factory,
         queues,
         ctl_rx,
-        sealed_tx,
+        merger_tx,
         clock,
         pace,
         spec,
@@ -215,7 +228,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx) -> DtResult<()> {
                 &mut triage,
                 &queues,
                 &ctl_rx,
-                &sealed_tx,
+                &merger_tx,
                 &clock,
                 pace,
                 spec,
@@ -256,9 +269,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx) -> DtResult<()> {
                     if let Some(c) = &controller {
                         c.on_dequeue(n);
                     }
-                    for w in triage.seal_all()? {
-                        let _ = sealed_tx.send(w);
-                    }
+                    send_sealed(&merger_tx, triage.seal_all()?);
                     return Ok(());
                 }
             }
@@ -275,7 +286,7 @@ fn worker_loop(
     triage: &mut StreamTriage,
     queues: &Arc<ShardQueues<SeqTuple>>,
     ctl_rx: &Receiver<Ctl>,
-    sealed_tx: &Sender<SealedWindow>,
+    merger_tx: &Sender<MergerMsg>,
     clock: &Arc<dyn Clock>,
     pace: bool,
     spec: WindowSpec,
@@ -343,9 +354,7 @@ fn worker_loop(
                 let n = batch.len();
                 batch.clear();
                 panic_check(fault, stream, consumed, n, fault_panic_ctr);
-                for w in triage.seal_through(upto)? {
-                    let _ = sealed_tx.send(w);
-                }
+                send_sealed(merger_tx, triage.seal_through(upto)?);
                 continue;
             }
             Ok(Ctl::Stop) => {
@@ -372,17 +381,13 @@ fn worker_loop(
                         }
                     }
                 }
-                for w in triage.seal_all()? {
-                    let _ = sealed_tx.send(w);
-                }
+                send_sealed(merger_tx, triage.seal_all()?);
                 return Ok(());
             }
             Err(TryRecvError::Empty) => {}
             Err(TryRecvError::Disconnected) => {
                 // Server dropped without Stop; emit what we have.
-                for w in triage.seal_all()? {
-                    let _ = sealed_tx.send(w);
-                }
+                send_sealed(merger_tx, triage.seal_all()?);
                 return Ok(());
             }
         }
