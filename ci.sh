@@ -33,8 +33,16 @@ RUSTFLAGS=-Dwarnings cargo test -q -p dt-server --test drain -- --test-threads=1
 for workload in fig7-join fanout-ingest bursty-join; do
     cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml -- \
         --workload "$workload" --seed 7 --seconds 2 --trace 0 \
-        | tail -n 1 | grep -q '"correct": true'
+        | tail -n 1 > "/tmp/e2e_$workload.json"
+    grep -q '"correct": true' "/tmp/e2e_$workload.json"
 done
+# Progress sealing (DESIGN.md §7): fig7-join's single connection is
+# always past a window's end soon after it, so its p50 window latency
+# must stay under half the 60 ms seal grace. A silent fall back to
+# grace-only sealing puts it at ~61 ms and fails here.
+P50=$(grep -o '"window_latency_p50_ms": {"value": [0-9.e+-]*' /tmp/e2e_fig7-join.json \
+    | awk '{print $NF}')
+awk -v p50="$P50" 'BEGIN { exit !(p50 != "" && p50 + 0 < 30) }'
 
 # Observability smoke: start a live dt-serve (stdin held open by the
 # sleep), scrape GET /metrics through the bundled example, and require
@@ -55,6 +63,7 @@ done
 test "$SCRAPED" = 1
 grep -q '^dt_server_ingest_frames_total' /tmp/metrics_smoke.txt
 grep -q '^# TYPE dt_server_queue_depth gauge' /tmp/metrics_smoke.txt
+grep -q '^dt_server_seals_total' /tmp/metrics_smoke.txt
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 

@@ -37,8 +37,10 @@ USAGE:
            [--queries FILE]   read ;-separated statements from FILE
            [--listen ADDR]    listen address        (default 127.0.0.1:7077)
            [--window SECS]    window width override (default: per query)
-           [--capacity N]     triage channel bound  (default 100)
-           [--grace MS]       seal grace period     (default 100)
+           [--capacity N]     triage queue bound per shard (default 100)
+           [--grace MS]       longest a window waits for a quiet or
+                              slow source (default 100); it seals
+                              sooner once every connection is past it
            [--cell-width N]   sparse synopsis cell  (default 10)
            [--delay-ms MS]    adaptive delay constraint (default: off —
                               shed only on channel overflow)

@@ -67,12 +67,12 @@ impl IngestPlane {
 /// Everything a [`crate::Server`] needs to start.
 ///
 /// The triage queue of the paper's Fig. 1 is realized as each
-/// stream's *bounded ingest channel*: `channel_capacity` plays the
-/// role of the queue capacity, and a full channel is the overflow
-/// signal. Victim selection is necessarily the incoming tuple (the
-/// channel's interior is owned by the worker), i.e. the `Newest` drop
-/// policy; the simulation pipeline remains the place to study
-/// alternative policies.
+/// stream's *shard queues* ([`dt_triage::ShardQueues`], one bounded
+/// queue per shard worker): `channel_capacity` bounds each shard's
+/// queue, and a full queue is the overflow signal. Victim selection
+/// is necessarily the incoming tuple (the queue's interior belongs to
+/// the workers), i.e. the `Newest` drop policy; the simulation
+/// pipeline remains the place to study alternative policies.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The continuous queries to serve (at least one). All must share
@@ -87,10 +87,16 @@ pub struct ServerConfig {
     /// When set, overrides every stream's window width (the same knob
     /// the rate sweeps use).
     pub window: Option<VDuration>,
-    /// Per-stream bounded channel capacity — the triage queue bound.
+    /// The bound on *each shard's* triage queue (a stream with
+    /// `shards` workers queues up to `shards * channel_capacity`
+    /// tuples). A kept tuple that finds its shard's queue full is shed.
     pub channel_capacity: usize,
-    /// How far behind `Clock::now()` the seal watermark trails, so
-    /// stragglers still land in their window.
+    /// The longest a window waits for a quiet or slow source: a window
+    /// seals once every ingest connection has pushed a tuple at or
+    /// past its end, and at its end plus `grace` at the latest, so
+    /// stragglers from a lagging source still land in their window.
+    /// In-process offers publish no progress, so a server that has
+    /// taken one seals every window at its end plus `grace`.
     pub grace: VDuration,
     /// Gate worker processing on tuple timestamps: a worker does not
     /// consume a tuple before `Clock::now()` reaches its timestamp.

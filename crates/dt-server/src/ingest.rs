@@ -14,6 +14,11 @@
 //! appended to a caller-owned `out` buffer: the threaded plane writes
 //! it synchronously after each line, the reactor queues it behind its
 //! write-side backpressure.
+//!
+//! A connection that sends a tuple frame becomes a progress source
+//! ([`ProgressSource`]): it publishes the newest `ts` it has pushed,
+//! and the merger seals a window once every source is past its end
+//! (DESIGN.md §7).
 
 use crate::fault::FaultPlan;
 use crate::frame::Line;
@@ -21,8 +26,63 @@ use crate::obs::{
     http_method_not_allowed, http_not_found, http_response, FAULT_CORRUPT, FAULT_DELAY,
     FAULT_DISCONNECT,
 };
-use crate::server::ServerHandle;
+use crate::server::{seal_watermark, ServerHandle};
+use dt_types::{Timestamp, VDuration, WindowId, WindowSpec};
 use std::borrow::Cow;
+
+/// One ingest connection's standing in the merger's progress table,
+/// from its first tuple frame until it is dropped with the session.
+pub(crate) struct ProgressSource {
+    handle: ServerHandle,
+    id: u64,
+    spec: WindowSpec,
+    /// The newest `ts` this connection has pushed.
+    pushed: Option<Timestamp>,
+    /// The newest window `pushed` lets seal, as last published.
+    published: Option<WindowId>,
+}
+
+impl ProgressSource {
+    /// Register a new source in `handle`'s progress table. It holds
+    /// every progress seal back until it first publishes.
+    pub(crate) fn register(handle: &ServerHandle) -> ProgressSource {
+        ProgressSource {
+            id: handle.register_source(),
+            spec: handle.spec(),
+            handle: handle.clone(),
+            pushed: None,
+            published: None,
+        }
+    }
+
+    /// A tuple stamped `ts` has been pushed (kept or shed).
+    pub(crate) fn pushed(&mut self, ts: Timestamp) {
+        self.pushed = self.pushed.max(Some(ts));
+    }
+
+    /// Publish the frontier when the newest window it alone would let
+    /// seal has advanced — at most once per window. The caller must
+    /// hold no line back: a held line is not pushed yet, and may lie
+    /// below the frontier.
+    fn publish(&mut self) {
+        let Some(ts) = self.pushed else {
+            return;
+        };
+        let sealable = seal_watermark(ts, self.spec, VDuration::ZERO);
+        if sealable > self.published {
+            self.published = sealable;
+            self.handle.publish_progress(self.id, ts);
+        }
+    }
+}
+
+impl Drop for ProgressSource {
+    /// The connection is gone: it pushes nothing more, but its
+    /// frontier keeps holding seals back until the grace passes it.
+    fn drop(&mut self) {
+        self.handle.close_source(self.id, self.pushed);
+    }
+}
 
 /// What the session decided after consuming input: keep the
 /// connection open, or close it once `out` has been flushed. On
@@ -52,6 +112,9 @@ pub(crate) struct IngestSession {
     held: Vec<(u64, String)>,
     /// Still waiting for the first line (HTTP probe sniffing window).
     first: bool,
+    /// Set at the first tuple frame: this connection is a progress
+    /// source.
+    source: Option<ProgressSource>,
 }
 
 impl IngestSession {
@@ -63,6 +126,7 @@ impl IngestSession {
             errors: 0,
             held: Vec::new(),
             first: true,
+            source: None,
         }
     }
 
@@ -71,7 +135,7 @@ impl IngestSession {
     /// means the error budget is exhausted and the caller must close
     /// the connection (after flushing holdbacks).
     fn process(&mut self, handle: &ServerHandle, text: &str, out: &mut Vec<u8>) -> bool {
-        match handle.ingest_line(text) {
+        match handle.ingest_line(text, &mut self.source) {
             Ok(None) => false,
             Ok(Some(reply)) => {
                 out.extend_from_slice(reply.as_bytes());
@@ -79,6 +143,17 @@ impl IngestSession {
                 false
             }
             Err(_) => self.reject(handle),
+        }
+    }
+
+    /// Publish this connection's progress after its pushes. While
+    /// lines are held back the frontier stays put, so a delayed frame
+    /// never lands in a window that has already sealed.
+    fn publish(&mut self) {
+        if self.held.is_empty() {
+            if let Some(source) = &mut self.source {
+                source.publish();
+            }
         }
     }
 
@@ -188,6 +263,7 @@ impl IngestSession {
             let _ = self.release_held(handle, out, u64::MAX);
             return LineVerdict::Close;
         }
+        self.publish();
         LineVerdict::Open
     }
 
@@ -200,6 +276,7 @@ impl IngestSession {
             self.farewell(handle, out);
             return LineVerdict::Close;
         }
+        self.publish();
         LineVerdict::Open
     }
 

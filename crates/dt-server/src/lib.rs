@@ -38,9 +38,10 @@
 //!   into a [`dt_triage::StreamTriage`]: kept tuples are buffered for
 //!   exact execution and folded into the kept synopsis, shed tuples
 //!   into the dropped synopsis.
-//! * The **merger** thread watches a [`Clock`] and, once a window's
-//!   end (plus a grace period) passes, asks every worker to seal it;
-//!   sealed per-stream state is joined and closed through
+//! * The **merger** thread asks every worker to seal a window once
+//!   every TCP ingest connection has pushed a tuple at or past the
+//!   window's end, and once its end plus a grace period passes on the
+//!   [`Clock`] at the latest (DESIGN.md §7); sealed per-stream state is joined and closed through
 //!   [`dt_triage::QueryExecutor`] — exact results merged with the
 //!   shadow query's estimate — and emitted strictly in window order.
 //! * The **control plane**: per-stream offered/kept/shed counters

@@ -44,6 +44,15 @@ pub(crate) struct ServerObs {
     /// Windows the merger's watchdog force-sealed past a stalled
     /// worker.
     pub windows_force_sealed: Counter,
+    /// Seal broadcasts driven by source progress: every tracked
+    /// ingest source had pushed past the window's end.
+    pub seals_progress: Counter,
+    /// Seal broadcasts driven by the grace: the window's end plus the
+    /// grace had passed.
+    pub seals_grace: Counter,
+    /// Ingest sources the merger tracks for progress, closed ones
+    /// still holding seals back included.
+    pub ingest_sources: Gauge,
 }
 
 /// Indices into [`ServerObs::faults_injected`].
@@ -138,6 +147,21 @@ impl ServerObs {
             windows_force_sealed: reg.counter(
                 "dt_server_windows_force_sealed_total",
                 "Windows force-sealed by the merger watchdog past a stalled worker",
+                &[],
+            ),
+            seals_progress: reg.counter(
+                "dt_server_seals_total",
+                "Seal broadcasts, by what let the window seal",
+                &[("cause", "progress")],
+            ),
+            seals_grace: reg.counter(
+                "dt_server_seals_total",
+                "Seal broadcasts, by what let the window seal",
+                &[("cause", "grace")],
+            ),
+            ingest_sources: reg.gauge(
+                "dt_server_ingest_sources",
+                "Ingest sources tracked for progress sealing, closed ones still holding included",
                 &[],
             ),
         }

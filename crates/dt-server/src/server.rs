@@ -11,13 +11,13 @@
 use crate::config::ServerConfig;
 use crate::fault::FaultPlan;
 use crate::frame::{decode_frame, decode_incoming, Command, Decoded, FrameAssembler, FrameRef};
-use crate::ingest::{IngestSession, LineVerdict};
+use crate::ingest::{IngestSession, LineVerdict, ProgressSource};
 use crate::obs::{ServerObs, WorkerObs, FAULT_PANIC, FAULT_STALL};
 use crate::stats::query_info_json;
 use crate::stats::{ServerReport, ServerStats};
 use crate::worker::{run_worker, Ctl, SeqTuple, TriageFactory, WorkerCtx};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use dt_obs::MetricsRegistry;
+use dt_obs::{Gauge, MetricsRegistry};
 use dt_registry::{QueryId, QueryInfo, QueryRegistry, QuerySpec, RegistryConfig};
 use dt_synopsis::SynopsisConfig;
 use dt_triage::{
@@ -27,7 +27,7 @@ use dt_triage::{
 };
 use dt_types::{json, Json, ToJson};
 use dt_types::{Clock, DtError, DtResult, Timestamp, Tuple, VDuration, WindowId, WindowSpec};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,13 +57,17 @@ const WATCHDOG_REAL_GRACE: Duration = Duration::from_millis(200);
 /// for as many windows as it skips.
 pub const MAX_WINDOWS_AHEAD: WindowId = 1024;
 
-/// The merger's one inbox: the workers' sealed windows and, after
-/// every worker has joined, the stop request. The channel is FIFO, so
-/// every seal a worker sent arrives before `Stop`.
+/// The merger's one inbox: the workers' sealed windows, the ingest
+/// sources' progress wake-ups and, after every worker has joined, the
+/// stop request. The channel is FIFO, so every seal a worker sent
+/// arrives before `Stop`.
 pub(crate) enum MergerMsg {
     /// One (stream, shard) partial of a sealed window (boxed: a
     /// sealed window is hundreds of bytes, `Stop` is none).
     Sealed(Box<SealedWindow>),
+    /// An ingest source published a new frontier into
+    /// [`Inner::sources`]: recompute the progress watermark.
+    Progress,
     /// Every worker has drained and exited: emit what is left, return.
     Stop,
 }
@@ -115,6 +119,88 @@ struct Inner {
     /// data line (HTTP probes never draw one, keeping the ids — and
     /// thus the fault schedule — deterministic for test harnesses).
     conn_seq: AtomicU64,
+    /// The progress table: every tracked ingest source's published
+    /// frontier, read by the merger to seal before the grace.
+    sources: Mutex<Sources>,
+    /// Set by the first in-process offer. In-process callers publish
+    /// no frontier, so from then on the merger seals by grace only.
+    untracked: AtomicBool,
+    /// The merger's inbox, for [`MergerMsg::Progress`] wake-ups.
+    merger_tx: Sender<MergerMsg>,
+}
+
+/// One tracked ingest source in the progress table.
+struct SourceFrontier {
+    /// The newest `ts` the source has published; `None` until its
+    /// first publish.
+    ts: Option<Timestamp>,
+    /// The connection has closed. It keeps holding seals back at `ts`
+    /// until the grace seal passes `ts`, so a resend on a fresh
+    /// connection is not late.
+    closed: bool,
+}
+
+/// The progress table: one entry per tracked ingest source. An
+/// ingest connection becomes a source at its first tuple frame
+/// ([`ProgressSource`]); HTTP probes and control-only connections
+/// never do.
+#[derive(Default)]
+struct Sources {
+    next_id: u64,
+    table: HashMap<u64, SourceFrontier>,
+    /// `dt_server_ingest_sources`: the table's length.
+    gauge: Gauge,
+}
+
+impl Sources {
+    fn register(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.table.insert(
+            id,
+            SourceFrontier {
+                ts: None,
+                closed: false,
+            },
+        );
+        self.gauge.set(self.table.len() as i64);
+        id
+    }
+
+    fn publish(&mut self, id: u64, ts: Timestamp) {
+        if let Some(s) = self.table.get_mut(&id) {
+            s.ts = Some(ts);
+        }
+    }
+
+    /// Mark source `id` closed with its final frontier `pushed` (the
+    /// newest `ts` it ever pushed). A source that pushed nothing has
+    /// nothing to hold back and leaves at once.
+    fn close(&mut self, id: u64, pushed: Option<Timestamp>) {
+        match pushed {
+            Some(ts) => self.table.insert(
+                id,
+                SourceFrontier {
+                    ts: Some(ts),
+                    closed: true,
+                },
+            ),
+            None => self.table.remove(&id),
+        };
+        self.gauge.set(self.table.len() as i64);
+    }
+
+    /// Prune every closed source whose frontier the grace seal
+    /// `grace_mark` has passed (every window holding its frontier is
+    /// sealed), then return the least published frontier: `None` when
+    /// no source is tracked or a tracked source has not published yet.
+    fn frontier(&mut self, grace_mark: Option<WindowId>, spec: WindowSpec) -> Option<Timestamp> {
+        let passed = |ts: Timestamp| grace_mark.is_some_and(|g| g >= spec.window_of(ts));
+        self.table
+            .retain(|_, s| !(s.closed && s.ts.is_some_and(passed)));
+        self.gauge.set(self.table.len() as i64);
+        self.table.values().map(|s| s.ts).min().flatten()
+    }
 }
 
 /// Cloneable ingest facade onto a running server.
@@ -182,10 +268,14 @@ impl ServerHandle {
     }
 
     /// Offer one tuple to a stream. This is the triage step: the
-    /// tuple either enters the stream's bounded channel (kept) or,
-    /// when the channel is full, is rerouted to the worker's control
+    /// tuple either enters its shard's bounded queue (kept) or, when
+    /// that queue is full, is rerouted to the shard worker's control
     /// lane as a shed victim — it still reaches the window's dropped
     /// synopsis, it just skips exact processing.
+    ///
+    /// An in-process offer publishes no progress frontier, so the
+    /// first one makes the server seal every later window by its
+    /// grace alone (DESIGN.md §7).
     pub fn offer(&self, stream: usize, tuple: Tuple) -> DtResult<()> {
         self.offer_tagged(stream, tuple, None)
     }
@@ -194,6 +284,7 @@ impl ServerHandle {
     /// [`FairController`] charges the shed decision to the tenant's
     /// lane (untagged tuples land in the catch-all lane).
     pub fn offer_tagged(&self, stream: usize, tuple: Tuple, tenant: Option<&str>) -> DtResult<()> {
+        self.mark_untracked();
         let shared = self
             .inner
             .registry
@@ -293,13 +384,27 @@ impl ServerHandle {
 
     /// Offer a frame line exactly as the TCP path does: resolve the
     /// stream by name, stamp a missing timestamp with `Clock::now()`.
+    /// Like [`ServerHandle::offer`], it makes the server seal by grace
+    /// alone from then on.
     pub fn offer_frame(&self, line: &str) -> DtResult<()> {
+        self.mark_untracked();
         self.inner.obs.ingest_frames.inc();
         self.inner.obs.ingest_bytes.add(line.len() as u64);
-        self.offer_parsed(decode_frame(line)?)
+        self.offer_parsed(decode_frame(line)?).map(|_| ())
     }
 
-    fn offer_parsed(&self, frame: FrameRef<'_>) -> DtResult<()> {
+    /// Stop sealing on progress: an in-process caller is offering
+    /// tuples no source frontier accounts for.
+    fn mark_untracked(&self) {
+        let untracked = &self.inner.untracked;
+        if !untracked.load(Ordering::Relaxed) {
+            untracked.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Offer a decoded tuple frame; returns the timestamp it was
+    /// offered at.
+    fn offer_parsed(&self, frame: FrameRef<'_>) -> DtResult<Timestamp> {
         let (stream, shared) = self
             .inner
             .registry
@@ -314,20 +419,34 @@ impl ServerHandle {
             shared,
             Tuple::new(frame.row, ts),
             frame.tenant.as_deref(),
-        )
+        )?;
+        Ok(ts)
     }
 
-    /// Ingest one wire line: a tuple frame (no reply) or a control
-    /// command (`Ok(Some(reply))` — the caller writes the reply line
-    /// back on the connection). An `Err` means the line was
-    /// malformed or unroutable and counts against the connection's
-    /// error budget; a well-formed command that *fails* (bad SQL,
-    /// unknown id) is still answered, as `{"error":…}`.
-    pub fn ingest_line(&self, line: &str) -> DtResult<Option<String>> {
+    /// Ingest one wire line from a TCP connection: a tuple frame (no
+    /// reply) or a control command (`Ok(Some(reply))` — the caller
+    /// writes the reply line back on the connection). An `Err` means
+    /// the line was malformed or unroutable and counts against the
+    /// connection's error budget; a well-formed command that *fails*
+    /// (bad SQL, unknown id) is still answered, as `{"error":…}`.
+    ///
+    /// The connection becomes a progress source at its first tuple
+    /// frame, registered before that tuple is offered; each pushed
+    /// tuple then raises `source`'s frontier (published by the
+    /// session, see [`ProgressSource::publish`]).
+    pub(crate) fn ingest_line(
+        &self,
+        line: &str,
+        source: &mut Option<ProgressSource>,
+    ) -> DtResult<Option<String>> {
         self.inner.obs.ingest_frames.inc();
         self.inner.obs.ingest_bytes.add(line.len() as u64);
         match decode_incoming(line)? {
-            Decoded::Tuple(frame) => self.offer_parsed(frame).map(|()| None),
+            Decoded::Tuple(frame) => {
+                let src = source.get_or_insert_with(|| ProgressSource::register(self));
+                src.pushed(self.offer_parsed(frame)?);
+                Ok(None)
+            }
             Decoded::Control(cmd) => Ok(Some(self.control(cmd).render())),
         }
     }
@@ -398,6 +517,32 @@ impl ServerHandle {
     /// first data line, so HTTP probes never consume one).
     pub(crate) fn next_conn_id(&self) -> u64 {
         self.inner.conn_seq.fetch_add(1, Ordering::SeqCst)
+    }
+
+    /// Track a new progress source; returns its id in the table.
+    pub(crate) fn register_source(&self) -> u64 {
+        self.inner.sources.lock().expect("sources lock").register()
+    }
+
+    /// Publish source `id`'s frontier `ts` (every tuple it holds up to
+    /// `ts` is already pushed) and wake the merger to act on it.
+    pub(crate) fn publish_progress(&self, id: u64, ts: Timestamp) {
+        self.inner
+            .sources
+            .lock()
+            .expect("sources lock")
+            .publish(id, ts);
+        let _ = self.inner.merger_tx.send(MergerMsg::Progress);
+    }
+
+    /// Source `id`'s connection closed, having pushed up to `pushed`.
+    /// Runs from a `Drop`, so a poisoned lock is used as it stands.
+    pub(crate) fn close_source(&self, id: u64, pushed: Option<Timestamp>) {
+        self.inner
+            .sources
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .close(id, pushed);
     }
 
     /// True once shutdown has begun.
@@ -586,7 +731,6 @@ impl Server {
             clock_window: AtomicU64::new(spec.window_of(clock.now())),
             mode: cfg.mode,
             metrics: cfg.metrics.clone(),
-            obs,
             queues,
             routers,
             seqs: names.iter().map(|_| AtomicU64::new(0)).collect(),
@@ -597,6 +741,13 @@ impl Server {
             fault: cfg.fault.clone(),
             error_budget: cfg.conn_error_budget,
             conn_seq: AtomicU64::new(0),
+            sources: Mutex::new(Sources {
+                gauge: obs.ingest_sources.clone(),
+                ..Sources::default()
+            }),
+            untracked: AtomicBool::new(false),
+            merger_tx: merger_tx.clone(),
+            obs,
         });
         let handle = ServerHandle {
             inner: Arc::clone(&inner),
@@ -781,8 +932,13 @@ enum Fill {
 }
 
 /// The newest window whose end plus `grace` has passed at `now` —
-/// the seal watermark — or `None` before window 0's deadline.
-fn seal_watermark(now: Timestamp, spec: WindowSpec, grace: VDuration) -> Option<WindowId> {
+/// the seal watermark — or `None` before window 0's deadline. With a
+/// zero grace it is the newest window that ends at or before `now`.
+pub(crate) fn seal_watermark(
+    now: Timestamp,
+    spec: WindowSpec,
+    grace: VDuration,
+) -> Option<WindowId> {
     let lag = (spec.width() + grace).micros();
     now.micros()
         .checked_sub(lag)
@@ -806,13 +962,29 @@ fn merger_wait(
     MERGER_POLL.min(Duration::from_micros(due.saturating_sub(now.micros())))
 }
 
+/// The progress watermark: the newest window that ends at or before
+/// both `frontier`, the least frontier the tracked ingest sources have
+/// published ([`Sources::frontier`]), and the clock `now`. `None`
+/// while there is no frontier. The clock cap keeps the
+/// `pace_by_timestamp` contract: a seal never makes a worker consume a
+/// tuple stamped ahead of the clock.
+fn progress_watermark(
+    frontier: Option<Timestamp>,
+    now: Timestamp,
+    spec: WindowSpec,
+) -> Option<WindowId> {
+    frontier.and_then(|f| seal_watermark(f.min(now), spec, VDuration::ZERO))
+}
+
 /// The merger loop: collect sealed per-stream windows, emit each
 /// window (strictly in id order) once every stream has sealed it,
-/// drive the seal watermark off the clock, and force-seal past
-/// stalled workers once the watchdog deadline passes. It wakes on
-/// every inbox message and at every seal deadline ([`merger_wait`]),
-/// so a watermark goes out when it is due and a window is emitted as
-/// soon as its last partial arrives.
+/// drive the seal watermark, and force-seal past stalled workers once
+/// the watchdog deadline passes. A window seals once every tracked
+/// ingest source has pushed past its end ([`progress_watermark`]), and
+/// at its end plus `grace` at the latest ([`seal_watermark`]). The
+/// merger wakes on every inbox message and at every grace deadline
+/// ([`merger_wait`]), so a watermark goes out when it is due and a
+/// window is emitted as soon as its last partial arrives.
 fn run_merger(
     inner: Arc<Inner>,
     synopsis: SynopsisConfig,
@@ -834,6 +1006,12 @@ fn run_merger(
     let mut next_emit: WindowId = 0;
     let mut last_seal: Option<WindowId> = None;
     let mut last_seal_sent = std::time::Instant::now();
+    // The least published source frontier, recomputed only when a
+    // source publishes or the grace watermark moves (which may prune
+    // closed sources): nothing else changes it.
+    let mut frontier: Option<Timestamp> = None;
+    let mut published = false;
+    let mut grace_seen: Option<WindowId> = None;
 
     loop {
         let wait = merger_wait(inner.clock.now(), last_seal, spec, grace);
@@ -852,6 +1030,7 @@ fn run_merger(
                     pending.entry(win).or_insert_with(|| vec![None; n_slots])[slot] = Some(*s);
                 }
                 MergerMsg::Sealed(_) => {}
+                MergerMsg::Progress => published = true,
                 MergerMsg::Stop => stop = true,
             }
         }
@@ -934,11 +1113,33 @@ fn run_merger(
             }
         }
 
-        // Advance the seal watermark: every window whose end (plus
-        // grace) has passed gets sealed on all streams.
-        if let Some(upto) =
-            seal_watermark(now, spec, grace).filter(|&u| last_seal.is_none_or(|s| u > s))
+        // Advance the seal watermark: every window that every source
+        // has pushed past, or whose end plus grace has passed, gets
+        // sealed on all streams.
+        let grace_mark = seal_watermark(now, spec, grace);
+        if published || grace_mark != grace_seen {
+            frontier = inner
+                .sources
+                .lock()
+                .expect("sources lock")
+                .frontier(grace_mark, spec);
+            published = false;
+            grace_seen = grace_mark;
+        }
+        let progress = if inner.untracked.load(Ordering::SeqCst) {
+            None
+        } else {
+            progress_watermark(frontier, now, spec)
+        };
+        if let Some(upto) = grace_mark
+            .max(progress)
+            .filter(|&u| last_seal.is_none_or(|s| u > s))
         {
+            if grace_mark == Some(upto) {
+                inner.obs.seals_grace.inc();
+            } else {
+                inner.obs.seals_progress.inc();
+            }
             inner
                 .obs
                 .sealer_lag_us
@@ -1385,5 +1586,96 @@ mod tests {
         );
         assert_deadline_matches_watermark(Some(2), spec, grace, ms(185));
         assert_deadline_matches_watermark(None, spec, grace, ms(110));
+    }
+
+    /// The merger's view of `sources` at `now`, with the grace seal at
+    /// `grace_mark`.
+    fn progress(
+        sources: &mut Sources,
+        grace_mark: Option<WindowId>,
+        now: Timestamp,
+        spec: WindowSpec,
+    ) -> Option<WindowId> {
+        progress_watermark(sources.frontier(grace_mark, spec), now, spec)
+    }
+
+    #[test]
+    fn no_sources_means_no_progress_watermark() {
+        let (spec, _) = tumbling();
+        let mut sources = Sources::default();
+        assert_eq!(progress(&mut sources, None, ms(10_000), spec), None);
+        assert_eq!(progress_watermark(None, ms(10_000), spec), None);
+    }
+
+    #[test]
+    fn an_unpublished_source_holds_every_progress_seal() {
+        let (spec, _) = tumbling();
+        let mut sources = Sources::default();
+        let a = sources.register();
+        let _quiet = sources.register();
+        sources.publish(a, ms(950));
+        assert_eq!(progress(&mut sources, None, ms(1_000), spec), None);
+    }
+
+    #[test]
+    fn tumbling_windows_seal_up_to_the_least_frontier() {
+        let (spec, _) = tumbling();
+        let mut sources = Sources::default();
+        let (a, b) = (sources.register(), sources.register());
+        sources.publish(a, ms(950));
+        sources.publish(b, ms(250));
+        // Window 1 ends at 200 ms, window 2 at 300 ms.
+        assert_eq!(progress(&mut sources, None, ms(1_000), spec), Some(1));
+        // A frontier exactly at a window's end lets that window seal.
+        sources.publish(b, ms(300));
+        assert_eq!(progress(&mut sources, None, ms(1_000), spec), Some(2));
+        sources.publish(b, Timestamp::from_micros(399_999));
+        assert_eq!(progress(&mut sources, None, ms(1_000), spec), Some(2));
+        // Before window 0's end no window can seal.
+        assert_eq!(progress_watermark(Some(ms(99)), ms(1_000), spec), None);
+    }
+
+    #[test]
+    fn hopping_windows_seal_by_window_end_not_by_slide() {
+        // Width 100 ms, slide 30 ms: window `w` ends at `w * 30 + 100`
+        // ms, and 100 is not a multiple of 30.
+        let spec =
+            WindowSpec::hopping(VDuration::from_millis(100), VDuration::from_millis(30)).unwrap();
+        let now = ms(1_000);
+        assert_eq!(progress_watermark(Some(ms(99)), now, spec), None);
+        assert_eq!(progress_watermark(Some(ms(100)), now, spec), Some(0));
+        assert_eq!(progress_watermark(Some(ms(175)), now, spec), Some(2));
+        assert_eq!(progress_watermark(Some(ms(190)), now, spec), Some(3));
+    }
+
+    #[test]
+    fn the_clock_caps_the_progress_watermark() {
+        let (spec, _) = tumbling();
+        let mut sources = Sources::default();
+        let a = sources.register();
+        sources.publish(a, ms(950));
+        assert_eq!(progress(&mut sources, None, ms(250), spec), Some(1));
+        assert_eq!(progress(&mut sources, None, ms(50), spec), None);
+    }
+
+    #[test]
+    fn a_closed_source_holds_until_the_grace_seal_passes_its_frontier() {
+        let (spec, _) = tumbling();
+        let mut sources = Sources::default();
+        let (a, b) = (sources.register(), sources.register());
+        sources.publish(a, ms(950));
+        sources.publish(b, ms(200));
+        // `b` closes having pushed up to 250 ms, inside window 2.
+        sources.close(b, Some(ms(250)));
+        assert_eq!(progress(&mut sources, Some(1), ms(1_000), spec), Some(1));
+        assert_eq!(sources.table.len(), 2);
+        // The grace seals window 2, the last holding 250 ms: `b` is
+        // pruned and `a` alone sets the watermark.
+        assert_eq!(progress(&mut sources, Some(2), ms(1_000), spec), Some(8));
+        assert_eq!(sources.table.len(), 1);
+        // A source that closes having pushed nothing leaves at once.
+        let c = sources.register();
+        sources.close(c, None);
+        assert_eq!(sources.table.len(), 1);
     }
 }
