@@ -46,7 +46,8 @@ awk -v p50="$P50" 'BEGIN { exit !(p50 != "" && p50 + 0 < 30) }'
 
 # Observability smoke: start a live dt-serve (stdin held open by the
 # sleep), scrape GET /metrics through the bundled example, and require
-# a known metric family in the Prometheus exposition.
+# known metric families in the Prometheus exposition, including the
+# reactor gauge of the one TCP ingest plane.
 sleep 20 | ./target/release/dt-serve \
     --stream R:a --query 'SELECT a, COUNT(*) FROM R GROUP BY a' \
     --listen 127.0.0.1:7183 --window 1.0 > /tmp/dt_serve_smoke.json &
@@ -64,6 +65,7 @@ test "$SCRAPED" = 1
 grep -q '^dt_server_ingest_frames_total' /tmp/metrics_smoke.txt
 grep -q '^# TYPE dt_server_queue_depth gauge' /tmp/metrics_smoke.txt
 grep -q '^dt_server_seals_total' /tmp/metrics_smoke.txt
+grep -q '^dt_server_reactor_conns' /tmp/metrics_smoke.txt
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 
@@ -79,7 +81,6 @@ wait "$SERVE_PID" 2>/dev/null || true
 sleep 20 | ./target/release/dt-serve \
     --stream R:a --query 'SELECT a, COUNT(*) FROM R GROUP BY a' \
     --listen 127.0.0.1:7184 --window 1.0 --grace 100 \
-    --ingest eventloop --reactors 2 \
     --fault-disconnect 2:5 --fault-disconnect 3:5 \
     --fault-disconnect 4:5 --fault-disconnect 5:5 \
     > /tmp/dt_registry_smoke.json &
@@ -130,7 +131,6 @@ wait "$REG_PID" 2>/dev/null || true
 sleep 20 | ./target/release/dt-serve \
     --stream R:a --query 'SELECT a, COUNT(*) FROM R GROUP BY a' \
     --listen 127.0.0.1:7185 --window 1.0 --grace 100 --shards 4 \
-    --ingest eventloop --reactors 2 \
     --fault-disconnect 2:5 --fault-disconnect 3:5 \
     --fault-disconnect 4:5 --fault-disconnect 5:5 \
     > /tmp/dt_shard_smoke.json &
@@ -211,7 +211,7 @@ cargo run --release -p dt-bench --bin bench_baseline -- --compare --quick
 (cd /tmp && cargo run --release --manifest-path "$OLDPWD/Cargo.toml" \
     -p dt-bench --bin multiq_sweep -- --quick)
 
-# Connection-sweep smoke: both ingest planes under real worker
+# Connection-sweep smoke: the TCP ingest plane under real worker
 # processes (DESIGN.md §14) must accept, ingest, and drain end to
 # end; the full curves live in the committed CONN_sweep.json.
 (cd /tmp && cargo run --release --manifest-path "$OLDPWD/Cargo.toml" \

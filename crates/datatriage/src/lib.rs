@@ -61,7 +61,7 @@
 //! | [`workload`] | `dt-workload` | §6.2 workloads |
 //! | [`metrics`] | `dt-metrics` | §6.3 RMS metric, Fig. 8/9 sweeps |
 //! | [`server`] | `dt-server` | the TelegraphCQ role: a live, concurrent runtime serving triage over TCP |
-//! | [`obs`] | `dt-obs` | low-overhead metrics registry, histograms, spans, Prometheus exposition |
+//! | [`obs`] | `dt-obs` | low-overhead metrics registry, histograms, Prometheus exposition |
 
 pub use dt_algebra as algebra;
 pub use dt_engine as engine;

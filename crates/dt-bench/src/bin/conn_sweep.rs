@@ -1,8 +1,8 @@
-//! Concurrent-connection sweep over the two ingest planes (ISSUE 9,
-//! DESIGN.md §14): accepted-connection and ingest-throughput curves
-//! for the thread-per-connection plane vs the readiness-driven event
-//! loop, a reactor-pool ablation, a connection-churn point, and the
-//! graceful-drain latency with every connection still open.
+//! Concurrent-connection sweep over the TCP ingest plane (DESIGN.md
+//! §14): accepted-connection and ingest-throughput points for the
+//! epoll event loop at its default reactor pool, a connection-churn
+//! point, and the graceful-drain latency with every connection still
+//! open.
 //!
 //! The process fd ceiling (20 000 here) caps how many sockets one
 //! process may hold, so load comes from child *worker processes*
@@ -22,7 +22,9 @@
 //! ```
 //!
 //! The committed `CONN_sweep.json` at the repo root is the full
-//! sweep's output on a 1-vCPU container.
+//! sweep's output on a 1-vCPU container, from when the sweep also ran
+//! a thread-per-connection plane and a 1/2/4-reactor ablation; those
+//! rows are the measurement that removed both (EXPERIMENTS.md).
 
 use std::io::{BufRead, BufReader, Write as IoWrite};
 use std::net::TcpStream;
@@ -34,7 +36,7 @@ use std::time::{Duration, Instant};
 use dt_bench::write_json;
 use dt_obs::MetricsRegistry;
 use dt_query::Catalog;
-use dt_server::{IngestPlane, Server, ServerConfig};
+use dt_server::{Server, ServerConfig};
 use dt_types::{json, DataType, Json, MonotonicClock, Schema, ToJson, VDuration};
 
 /// One NDJSON tuple frame; no `ts`, so the server stamps its clock.
@@ -232,19 +234,28 @@ impl WorkerProc {
     }
 }
 
-fn server_config(ingest: IngestPlane) -> ServerConfig {
+fn server_config() -> ServerConfig {
     let mut catalog = Catalog::new();
     catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
     let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog);
     cfg.window = Some(VDuration::from_secs(1));
     cfg.metrics = MetricsRegistry::new();
-    cfg.ingest = ingest;
     cfg
+}
+
+/// The reactor pool a server started on `cfg` runs: one
+/// `dt_server_reactor_conns` series per reactor.
+fn reactor_count(cfg: &ServerConfig) -> usize {
+    cfg.metrics
+        .snapshot()
+        .metrics
+        .iter()
+        .filter(|m| m.name == "dt_server_reactor_conns")
+        .count()
 }
 
 struct Point {
     label: String,
-    plane: &'static str,
     reactors: usize,
     conns_target: usize,
     conns_accepted: usize,
@@ -259,7 +270,6 @@ impl ToJson for Point {
     fn to_json(&self) -> Json {
         json::obj(vec![
             ("label", self.label.to_json()),
-            ("plane", self.plane.to_json()),
             ("reactors", self.reactors.to_json()),
             ("conns_target", self.conns_target.to_json()),
             ("conns_accepted", self.conns_accepted.to_json()),
@@ -280,15 +290,8 @@ fn shares(total: usize, cap: usize) -> Vec<usize> {
         .collect()
 }
 
-fn throughput_point(
-    label: &str,
-    plane: &'static str,
-    ingest: IngestPlane,
-    reactors: usize,
-    conns: usize,
-    frames: usize,
-) -> Point {
-    let cfg = server_config(ingest);
+fn throughput_point(label: &str, conns: usize, frames: usize) -> Point {
+    let cfg = server_config();
     let server =
         Server::start(&cfg, Some("127.0.0.1:0"), Arc::new(MonotonicClock::new())).expect("server");
     let addr = server.addr().expect("bound").to_string();
@@ -335,8 +338,7 @@ fn throughput_point(
     }
     let p = Point {
         label: label.to_string(),
-        plane,
-        reactors,
+        reactors: reactor_count(&cfg),
         conns_target: conns,
         conns_accepted: accepted,
         frames_sent: sent,
@@ -346,20 +348,14 @@ fn throughput_point(
         drain_ms,
     };
     println!(
-        "{:<28} {:>9} {:>6} conns {:>8}/{:<8} frames {:>9.0} fps {:>8.1} ms drain",
-        p.label,
-        p.plane,
-        p.conns_accepted,
-        p.frames_ingested,
-        p.frames_sent,
-        p.ingest_fps,
-        p.drain_ms
+        "{:<28} {:>6} conns {:>8}/{:<8} frames {:>9.0} fps {:>8.1} ms drain",
+        p.label, p.conns_accepted, p.frames_ingested, p.frames_sent, p.ingest_fps, p.drain_ms
     );
     p
 }
 
-fn churn_point(ingest: IngestPlane, reactors: usize, total: usize, nworkers: usize) -> Point {
-    let cfg = server_config(ingest);
+fn churn_point(total: usize, nworkers: usize) -> Point {
+    let cfg = server_config();
     let server =
         Server::start(&cfg, Some("127.0.0.1:0"), Arc::new(MonotonicClock::new())).expect("server");
     let addr = server.addr().expect("bound").to_string();
@@ -391,8 +387,7 @@ fn churn_point(ingest: IngestPlane, reactors: usize, total: usize, nworkers: usi
     }
     let p = Point {
         label: format!("churn-{total}"),
-        plane: "eventloop",
-        reactors,
+        reactors: reactor_count(&cfg),
         conns_target: total,
         conns_accepted: done,
         frames_sent: done,
@@ -402,8 +397,8 @@ fn churn_point(ingest: IngestPlane, reactors: usize, total: usize, nworkers: usi
         drain_ms,
     };
     println!(
-        "{:<28} {:>9} {:>6} conns churned at {:>9.0} conn/s ({:>6.1}s)",
-        p.label, p.plane, p.conns_accepted, p.ingest_fps, p.elapsed_s
+        "{:<28} {:>6} conns churned at {:>9.0} conn/s ({:>6.1}s)",
+        p.label, p.conns_accepted, p.ingest_fps, p.elapsed_s
     );
     p
 }
@@ -414,65 +409,20 @@ fn sweep(quick: bool) {
     } else {
         (1_000, 10_000, 16_000, 100_000, 100_000)
     };
-    let ev = |r: usize| IngestPlane::EventLoop { reactors: r };
 
     println!("Concurrent-connection sweep (frames/point: {frames})");
     let mut points = Vec::new();
-
-    // Plane comparison at the small and big connection counts.
-    points.push(throughput_point(
-        &format!("threaded-{small}"),
-        "threaded",
-        IngestPlane::Threaded,
-        0,
-        small,
-        frames,
-    ));
-    points.push(throughput_point(
-        &format!("eventloop-{small}"),
-        "eventloop",
-        ev(2),
-        2,
-        small,
-        frames,
-    ));
-    points.push(throughput_point(
-        &format!("threaded-{big}"),
-        "threaded",
-        IngestPlane::Threaded,
-        0,
-        big,
-        frames,
-    ));
-    // Reactor-pool ablation at the big point (r=2 doubles as the
-    // event-loop side of the plane comparison).
-    for r in [1usize, 2, 4] {
+    // The largest count is the most one process pair holds under the
+    // fd ceiling.
+    for conns in [small, big, xl] {
         points.push(throughput_point(
-            &format!("eventloop-{big}-r{r}"),
-            "eventloop",
-            ev(r),
-            r,
-            big,
+            &format!("eventloop-{conns}"),
+            conns,
             frames,
         ));
     }
-    // Beyond the threaded plane's comfort: the event loop at the
-    // largest count one process-pair can hold under the fd ceiling.
-    points.push(throughput_point(
-        &format!("eventloop-{xl}"),
-        "eventloop",
-        ev(2),
-        2,
-        xl,
-        frames,
-    ));
     // Accept-churn: every connection lives for exactly one frame.
-    points.push(churn_point(
-        ev(2),
-        2,
-        churn_total,
-        if quick { 2 } else { 4 },
-    ));
+    points.push(churn_point(churn_total, if quick { 2 } else { 4 }));
 
     if let Err(e) = write_json("conn_sweep.json", &points) {
         eprintln!("note: could not write conn_sweep.json: {e}");

@@ -11,26 +11,11 @@ use dt_types::{json, Json, ToJson};
 
 /// Serialize a frozen observability snapshot.
 ///
-/// Shape: `{"metrics": [{name, labels, kind, value}…], "spans":
-/// [{name, start_us, dur_us}…]}` — counters and gauges carry a scalar
-/// `value`, histograms a digest object.
+/// Shape: `{"metrics": [{name, labels, kind, value}…]}` — counters
+/// and gauges carry a scalar `value`, histograms a digest object.
 pub fn obs_to_json(snap: &Snapshot) -> Json {
     let metrics: Vec<Json> = snap.metrics.iter().map(metric_to_json).collect();
-    let spans: Vec<Json> = snap
-        .spans
-        .iter()
-        .map(|s| {
-            json::obj(vec![
-                ("name", s.name.to_json()),
-                ("start_us", s.start_us.to_json()),
-                ("dur_us", s.dur_us.to_json()),
-            ])
-        })
-        .collect();
-    json::obj(vec![
-        ("metrics", Json::Arr(metrics)),
-        ("spans", Json::Arr(spans)),
-    ])
+    json::obj(vec![("metrics", Json::Arr(metrics))])
 }
 
 fn metric_to_json(m: &MetricSnapshot) -> Json {
@@ -77,8 +62,6 @@ mod tests {
         let h = reg.histogram("lat_us", "l", &[]);
         h.observe(10);
         h.observe(90);
-        let id = reg.span_id("merge");
-        reg.span(id).finish();
 
         let j = obs_to_json(&reg.snapshot());
         let metrics = j.get("metrics").and_then(Json::as_arr).unwrap();
@@ -100,8 +83,6 @@ mod tests {
         let hist = metrics[2].get("value").unwrap();
         assert_eq!(hist.get("count").and_then(Json::as_i64), Some(2));
         assert_eq!(hist.get("sum").and_then(Json::as_i64), Some(100));
-        let spans = j.get("spans").and_then(Json::as_arr).unwrap();
-        assert_eq!(spans[0].get("name").and_then(Json::as_str), Some("merge"));
         // Round-trips through the renderer.
         assert_eq!(Json::parse(&j.render()).unwrap(), j);
     }
@@ -109,6 +90,6 @@ mod tests {
     #[test]
     fn empty_snapshot_is_still_valid_json() {
         let j = obs_to_json(&Snapshot::default());
-        assert_eq!(j.render(), r#"{"metrics":[],"spans":[]}"#);
+        assert_eq!(j.render(), r#"{"metrics":[]}"#);
     }
 }

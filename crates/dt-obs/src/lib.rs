@@ -20,10 +20,6 @@
 //!   is bounded at ~6 % across the full range while recording stays a
 //!   single atomic increment. Quantile extraction ([`Histogram::quantile`])
 //!   serves p50/p90/p99; the exact observed max is tracked separately.
-//! * Span tracing (inside the registry) — a bounded ring buffer of
-//!   coarse stage timings (`seal`, `merge`, `window_exec`): the last N
-//!   spans survive for a snapshot, older ones are overwritten, and
-//!   recording never blocks.
 //! * Exposition — [`MetricsRegistry::render_prometheus`] emits the
 //!   Prometheus text format (`text/plain; version=0.0.4`);
 //!   [`MetricsRegistry::render_table`] a human-readable snapshot table.
@@ -42,10 +38,8 @@
 
 mod histogram;
 mod registry;
-mod span;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{
     Counter, Gauge, MetricKind, MetricSnapshot, MetricValue, MetricsRegistry, Snapshot,
 };
-pub use span::{SpanGuard, SpanId, SpanRecord};

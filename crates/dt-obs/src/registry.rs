@@ -1,19 +1,14 @@
 //! The metrics registry and its scalar instruments.
 //!
-//! Registration (naming a metric, interning a span) takes a mutex —
+//! Registration (naming a metric) takes a mutex —
 //! it happens at pipeline/server construction. The instruments handed
 //! back are `Option<Arc<atomic>>` handles: recording on an enabled
 //! handle is one relaxed atomic op, recording on a disabled handle is
 //! a branch. Cloning a handle or the registry is an `Arc` clone.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::span::{SpanGuard, SpanId, SpanRecord, SpanRing};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-/// Default span-ring capacity (spans retained for snapshots).
-const SPAN_RING_CAPACITY: usize = 1024;
 
 /// A monotonically increasing count. Cloneable; disabled handles are
 /// inert.
@@ -118,7 +113,6 @@ struct MetricEntry {
 #[derive(Debug)]
 struct RegistryInner {
     metrics: Mutex<Vec<MetricEntry>>,
-    spans: SpanRing,
 }
 
 /// The cloneable observability handle. See the crate docs.
@@ -133,7 +127,6 @@ impl MetricsRegistry {
         MetricsRegistry {
             inner: Some(Arc::new(RegistryInner {
                 metrics: Mutex::new(Vec::new()),
-                spans: SpanRing::new(SPAN_RING_CAPACITY, Instant::now()),
             })),
         }
     }
@@ -237,43 +230,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Intern a span (stage) name for [`MetricsRegistry::span`].
-    pub fn span_id(&self, name: &str) -> SpanId {
-        match &self.inner {
-            Some(inner) => inner.spans.intern(name),
-            None => SpanId(0),
-        }
-    }
-
-    /// Start a span; the returned guard records (start, duration) into
-    /// the ring when dropped. Disabled registries never read the
-    /// clock.
-    #[inline]
-    pub fn span(&self, id: SpanId) -> SpanGuard<'_> {
-        match &self.inner {
-            Some(inner) => SpanGuard {
-                ring: Some(&inner.spans),
-                id,
-                start_us: inner.spans.now_us(),
-                start: Some(Instant::now()),
-            },
-            None => SpanGuard {
-                ring: None,
-                id,
-                start_us: 0,
-                start: None,
-            },
-        }
-    }
-
-    /// The most recent spans, oldest first.
-    pub fn recent_spans(&self) -> Vec<SpanRecord> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.spans.recent())
-    }
-
-    /// Freeze every metric and the span ring.
+    /// Freeze every metric.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
             return Snapshot::default();
@@ -293,7 +250,6 @@ impl MetricsRegistry {
                     },
                 })
                 .collect(),
-            spans: inner.spans.recent(),
         }
     }
 
@@ -469,13 +425,11 @@ fn escape_label(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// A frozen view of every registered metric plus recent spans.
+/// A frozen view of every registered metric.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Every registered metric, in registration order.
     pub metrics: Vec<MetricSnapshot>,
-    /// Recent spans, oldest first.
-    pub spans: Vec<SpanRecord>,
 }
 
 /// One metric, frozen.
@@ -555,15 +509,6 @@ impl Snapshot {
             };
             out.push_str(&format!("{:<width$}  {value}\n", m.display_name()));
         }
-        if !self.spans.is_empty() {
-            out.push_str(&format!("\nrecent spans ({}):\n", self.spans.len()));
-            for s in self.spans.iter().rev().take(16) {
-                out.push_str(&format!(
-                    "  +{:>10}us {:<16} {:>8}us\n",
-                    s.start_us, s.name, s.dur_us
-                ));
-            }
-        }
         out
     }
 }
@@ -605,13 +550,10 @@ mod tests {
         c.inc();
         g.set(5);
         h.observe(10);
-        let id = reg.span_id("stage");
-        reg.span(id).finish();
         assert_eq!(c.get(), 0);
         assert_eq!(g.get(), 0);
         assert_eq!(h.count(), 0);
         assert!(reg.snapshot().metrics.is_empty());
-        assert!(reg.recent_spans().is_empty());
         assert!(reg.render_prometheus().is_empty());
         assert!(!reg.is_enabled());
     }
@@ -661,19 +603,5 @@ mod tests {
         }
         assert!(snap.find("n_total", &[("mode", "nope")]).is_none());
         assert!(!snap.render_table().is_empty());
-    }
-
-    #[test]
-    fn spans_round_trip_through_registry() {
-        let reg = MetricsRegistry::new();
-        let id = reg.span_id("merge");
-        {
-            let _g = reg.span(id);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let spans = reg.recent_spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "merge");
-        assert!(spans[0].dur_us >= 1_000, "{}", spans[0].dur_us);
     }
 }

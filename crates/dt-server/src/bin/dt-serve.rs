@@ -22,7 +22,7 @@
 
 use dt_obs::MetricsRegistry;
 use dt_query::Catalog;
-use dt_server::{Client, IngestPlane, MonotonicClock, Server, ServerConfig};
+use dt_server::{Client, MonotonicClock, Server, ServerConfig};
 use dt_synopsis::SynopsisConfig;
 use dt_triage::{DelayConstraint, ShedMode};
 use dt_types::{DataType, DtError, DtResult, Schema, ToJson, VDuration};
@@ -45,11 +45,6 @@ USAGE:
            [--delay-ms MS]    adaptive delay constraint (default: off —
                               shed only on channel overflow)
            [--mode M]         data-triage | drop-only | summarize-only
-           [--ingest P]       socket plane: eventloop (default — epoll
-                              reactor pool) | threaded (one blocking
-                              thread per connection)
-           [--reactors N]     event-loop reactor threads (default 0 =
-                              auto: min(cores, 4))
            [--shards N]       worker-group size per stream (default 1;
                               >1 partitions each stream's triage across
                               N shard workers with work-stealing —
@@ -87,7 +82,6 @@ struct Args {
     cell_width: i64,
     delay: Option<DelayConstraint>,
     mode: ShedMode,
-    ingest: IngestPlane,
     shards: usize,
     pacing: bool,
     metrics: bool,
@@ -105,7 +99,6 @@ fn parse_args(argv: &[String]) -> DtResult<Args> {
         cell_width: 10,
         delay: None,
         mode: ShedMode::DataTriage,
-        ingest: IngestPlane::default(),
         shards: 1,
         pacing: true,
         metrics: true,
@@ -172,13 +165,6 @@ fn parse_args(argv: &[String]) -> DtResult<Args> {
                     "summarize-only" => ShedMode::SummarizeOnly,
                     m => return Err(DtError::config(format!("unknown mode '{m}'"))),
                 };
-            }
-            "--ingest" => args.ingest = IngestPlane::parse(&value()?)?,
-            "--reactors" => {
-                let n: usize = value()?
-                    .parse()
-                    .map_err(|_| DtError::config("--reactors wants an integer"))?;
-                args.ingest = IngestPlane::EventLoop { reactors: n };
             }
             "--shards" => {
                 args.shards = value()?
@@ -346,7 +332,6 @@ fn run() -> DtResult<()> {
     };
     cfg.pace_by_timestamp = args.pacing;
     cfg.delay = args.delay;
-    cfg.ingest = args.ingest;
     cfg.shards = args.shards;
     for &(conn, line) in &args.fault_disconnect {
         cfg.fault = std::mem::take(&mut cfg.fault).inject_disconnect(conn, line);

@@ -8,62 +8,6 @@ use dt_synopsis::SynopsisConfig;
 use dt_triage::{DelayConstraint, QueryExecutor, ShedMode};
 use dt_types::{DtError, DtResult, VDuration, WindowSpec};
 
-/// Which socket plane serves TCP ingest connections (in-process
-/// [`crate::Source`] ingest is unaffected — it calls the handle
-/// directly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestPlane {
-    /// One blocking OS thread per connection. The original plane,
-    /// kept for A/B comparison (`--ingest threaded`); degrades past a
-    /// few thousand clients because every idle connection wakes on
-    /// its 50 ms read timeout.
-    Threaded,
-    /// Readiness-driven nonblocking event loop: connections are
-    /// hashed to a fixed pool of reactor threads at accept, each
-    /// running an edge-triggered epoll loop over per-connection frame
-    /// assemblers (see DESIGN.md §14). `reactors: 0` sizes the pool
-    /// from the machine (`min(available_parallelism, 4)`).
-    ///
-    /// Requires Linux; on other targets the server silently falls
-    /// back to [`IngestPlane::Threaded`].
-    EventLoop {
-        /// Reactor-thread pool size; `0` = auto.
-        reactors: usize,
-    },
-}
-
-impl Default for IngestPlane {
-    fn default() -> Self {
-        IngestPlane::EventLoop { reactors: 0 }
-    }
-}
-
-impl IngestPlane {
-    /// Parse the `--ingest` flag value.
-    pub fn parse(s: &str) -> DtResult<IngestPlane> {
-        match s {
-            "threaded" => Ok(IngestPlane::Threaded),
-            "eventloop" => Ok(IngestPlane::EventLoop { reactors: 0 }),
-            other => Err(DtError::config(format!(
-                "unknown ingest plane '{other}' (want threaded | eventloop)"
-            ))),
-        }
-    }
-
-    /// The concrete reactor-pool size this plane resolves to
-    /// (`0` for the threaded plane).
-    pub fn resolved_reactors(&self) -> usize {
-        match *self {
-            IngestPlane::Threaded => 0,
-            IngestPlane::EventLoop { reactors: 0 } => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(4),
-            IngestPlane::EventLoop { reactors } => reactors,
-        }
-    }
-}
-
 /// Everything a [`crate::Server`] needs to start.
 ///
 /// The triage queue of the paper's Fig. 1 is realized as each
@@ -134,10 +78,6 @@ pub struct ServerConfig {
     /// real per-tuple measurements arrive (the workers feed measured
     /// costs in as they process). Only read when `delay` is set.
     pub cost_hint: CostModel,
-    /// Which socket plane serves TCP connections (event loop by
-    /// default; `Threaded` keeps the original thread-per-connection
-    /// path for A/B runs).
-    pub ingest: IngestPlane,
     /// Worker-group size per stream (DESIGN.md §15): each stream's
     /// triage is partitioned across this many shard workers, each
     /// with its own bounded queue and synopsis pair, with batch
@@ -169,7 +109,6 @@ impl ServerConfig {
             seal_watchdog: Some(VDuration::from_secs(5)),
             delay: None,
             cost_hint: CostModel::default(),
-            ingest: IngestPlane::default(),
             shards: 1,
         }
     }
@@ -265,27 +204,6 @@ mod tests {
         assert!(cfg.fault.is_disabled());
         assert_eq!(cfg.conn_error_budget, 32);
         assert!(cfg.seal_watchdog.is_some());
-        assert_eq!(cfg.ingest, IngestPlane::EventLoop { reactors: 0 });
-    }
-
-    #[test]
-    fn ingest_plane_parses_and_resolves() {
-        assert_eq!(
-            IngestPlane::parse("threaded").unwrap(),
-            IngestPlane::Threaded
-        );
-        assert_eq!(
-            IngestPlane::parse("eventloop").unwrap(),
-            IngestPlane::EventLoop { reactors: 0 }
-        );
-        assert!(IngestPlane::parse("fibers").is_err());
-        assert_eq!(IngestPlane::Threaded.resolved_reactors(), 0);
-        assert_eq!(
-            IngestPlane::EventLoop { reactors: 3 }.resolved_reactors(),
-            3
-        );
-        let auto = IngestPlane::EventLoop { reactors: 0 }.resolved_reactors();
-        assert!((1..=4).contains(&auto), "auto pool size {auto}");
     }
 
     #[test]

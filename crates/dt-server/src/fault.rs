@@ -6,17 +6,17 @@
 //! pure decision function the runtime consults at well-defined
 //! injection points:
 //!
-//! * **Ingest** (both socket planes, via `IngestSession`): corrupt a
+//! * **Ingest** (via `IngestSession`): corrupt a
 //!   frame line, hold a line back for a few frames (delayed/reordered
 //!   delivery), or close the connection after a frame (mid-frame
 //!   disconnect).
-//! * **Readiness layer** (the event-loop plane's reactors): chop a
+//! * **Readiness layer** (the TCP plane's reactors): chop a
 //!   nonblocking read short (a mid-frame partial read — the frame
 //!   assembler must reassemble across the seam) or tear the
 //!   connection down at a specific read. These are keyed by *accept
 //!   order* and *read index*, not line numbers: they model the
 //!   network delivering bytes in arbitrary pieces, below the framing
-//!   layer, and only the event-loop plane consults them.
+//!   layer.
 //! * **Workers** (`run_worker`): panic after consuming a specific
 //!   tuple — exercised against the supervisor's restart path.
 //! * **Sealing** (`run_worker`): swallow a seal watermark once, so a
@@ -58,11 +58,10 @@ pub struct FaultPlan {
     /// Per-watermark probability of a worker swallowing a seal.
     pub seal_stall_rate: f64,
     /// Per-read probability of chopping a readiness-layer read short
-    /// (event-loop plane only; lossless — the bytes arrive on the
-    /// next read).
+    /// (lossless — the bytes arrive on the next read).
     pub read_chop_rate: f64,
     /// Per-read probability of tearing a connection down at the
-    /// readiness layer (event-loop plane only; abrupt — unread bytes
+    /// readiness layer (abrupt — unread bytes
     /// and any torn trailing fragment are lost).
     pub read_disconnect_rate: f64,
     /// Explicit injections: corrupt line `line` of ingest connection
@@ -274,9 +273,9 @@ impl FaultPlan {
     /// short, and to how many bytes? Chops are lossless: the frame
     /// assembler sees the same byte stream, just in smaller pieces —
     /// this exercises exactly the mid-frame partial reads nonblocking
-    /// sockets produce. (Event-loop plane only; keyed by accept order
-    /// and per-connection read index, *not* line numbers, because it
-    /// models the transport below the framing layer.)
+    /// sockets produce. (Keyed by accept order and per-connection
+    /// read index, *not* line numbers, because it models the transport
+    /// below the framing layer.)
     pub fn read_chop(&self, conn: u64, read: u64) -> Option<usize> {
         if self.inject_read_chop.contains(&(conn, read))
             || self.hit(self.read_chop_rate, D_READ_CHOP, conn, read)

@@ -1,19 +1,16 @@
-//! The per-connection ingest state machine, shared by both socket
-//! planes.
+//! The per-connection ingest state machine.
 //!
-//! The threaded plane (`serve_conn`) and the event-loop plane
-//! ([`crate::reactor`]) differ only in how bytes arrive and leave; the
-//! *semantics* of a connection — the first-line HTTP probe, lazy conn
-//! id draw, fault-plan corruption/holdback/disconnect, the error
-//! budget and its structured farewell frame, and the holdback-flush
-//! guarantees on every close path — live here once. That shared state
-//! machine is what makes sealed-window output bit-identical across
-//! planes: both feed the same [`IngestSession`] the same line stream.
+//! The reactor ([`crate::reactor`]) moves a connection's bytes; the
+//! *semantics* of a connection live here, apart from any socket: the
+//! first-line HTTP probe, lazy conn id draw, fault-plan
+//! corruption/holdback/disconnect, the error budget and its
+//! structured farewell frame, and the holdback-flush guarantees on
+//! every close path. That keeps them testable with the reactor's fake
+//! sockets.
 //!
 //! Replies (command answers, HTTP bodies, the budget farewell) are
-//! appended to a caller-owned `out` buffer: the threaded plane writes
-//! it synchronously after each line, the reactor queues it behind its
-//! write-side backpressure.
+//! appended to a caller-owned `out` buffer, which the reactor queues
+//! behind its write-side backpressure.
 //!
 //! A connection that sends a tuple frame becomes a progress source
 //! ([`ProgressSource`]): it publishes the newest `ts` it has pushed,

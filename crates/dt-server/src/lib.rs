@@ -28,12 +28,10 @@
 //!   queue overflowing: the tuple is shed — rerouted to the worker's
 //!   control lane to be folded into the window's dropped synopsis,
 //!   exactly the paper's triage step under genuine backpressure.
-//!   Two socket planes serve TCP (DESIGN.md §14): the default
-//!   readiness-driven **event loop** (a small pool of epoll reactor
-//!   threads multiplexing per-connection frame assemblers) and the
-//!   original thread-per-connection plane
-//!   ([`IngestPlane::Threaded`]). Both drive one shared per-connection
-//!   state machine, so sealed output is bit-identical across planes.
+//!   TCP is served by a readiness-driven **event loop** (DESIGN.md
+//!   §14): an acceptor and a small pool of epoll reactor threads
+//!   multiplexing per-connection frame assemblers. TCP serving needs
+//!   Linux; the in-process [`Source`] path runs everywhere.
 //! * **Per-stream workers** (one thread each) drain their channel
 //!   into a [`dt_triage::StreamTriage`]: kept tuples are buffered for
 //!   exact execution and folded into the kept synopsis, shed tuples
@@ -103,7 +101,7 @@ pub use client::{
     fetch_metrics, fetch_metrics_with, fetch_stats, fetch_stats_with, Client, ClientConfig,
     QueryEntry, RetryPolicy, StatsReply,
 };
-pub use config::{IngestPlane, ServerConfig};
+pub use config::ServerConfig;
 pub use fault::{Corruption, FaultPlan};
 pub use frame::{
     parse_frame, parse_incoming, render_frame, render_frame_tagged, Command, Frame, FrameAssembler,

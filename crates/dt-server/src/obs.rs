@@ -168,7 +168,7 @@ impl ServerObs {
     }
 }
 
-/// Per-reactor instruments for the event-loop ingest plane, one
+/// Per-reactor instruments for the TCP ingest plane, one
 /// bundle per reactor thread (labelled by reactor index). Registered
 /// eagerly at startup like everything else, so an idle scrape shows
 /// the full zero-valued series set.

@@ -1,6 +1,6 @@
-//! The event-loop ingest plane: a small pool of reactor threads, each
-//! multiplexing many nonblocking connections over epoll (DESIGN.md
-//! §14).
+//! The TCP ingest plane: an acceptor thread and a small pool of
+//! reactor threads, each multiplexing many nonblocking connections
+//! over epoll (DESIGN.md §14).
 //!
 //! The plane splits in two so its logic is testable without sockets:
 //!
@@ -13,9 +13,11 @@
 //!   interest; a drained buffer restores read-only interest). Unit
 //!   tests drive it with scripted fake sockets and a logging interest
 //!   registry — no epoll, no wall clock.
-//! * [`Reactor`] (Linux only) — the thread around the core: an
-//!   edge-triggered epoll loop with an eventfd wake channel the
-//!   acceptor uses to hand over fresh connections.
+//! * [`TcpPlane`] — the threads around the core: the acceptor, and
+//!   per reactor an edge-triggered epoll loop with an eventfd wake
+//!   channel the acceptor uses to hand over fresh connections. It
+//!   needs Linux; elsewhere binding one is a config error, and the
+//!   in-process [`crate::Source`] path still runs.
 //!
 //! Invariants the tests pin:
 //!
@@ -27,10 +29,9 @@
 //!   yields after [`READ_BURST_CAP`] and rejoins via the carryover
 //!   ready list (edge-triggered epoll would otherwise never re-fire
 //!   for bytes already buffered).
-//! * **Idle parity**: holdbacks flush after [`IDLE_TICKS`] quiet
-//!   ticks, mirroring the threaded plane's 50 ms read-timeout flush —
-//!   counted in ticks, not wall time, so a frozen `VirtualClock`
-//!   changes nothing.
+//! * **Idle flush**: holdbacks flush after [`IDLE_TICKS`] quiet
+//!   ticks — counted in ticks, not wall time, so a frozen
+//!   `VirtualClock` changes nothing.
 
 use crate::frame::FrameAssembler;
 use crate::ingest::{IngestSession, LineVerdict};
@@ -39,7 +40,7 @@ use crate::server::ServerHandle;
 use std::collections::HashMap;
 use std::io;
 
-/// One nonblocking read's buffer size (matches the threaded plane).
+/// One nonblocking read's buffer size.
 const READ_CHUNK: usize = 16 * 1024;
 /// Per-connection read-burst cap per wakeup: a firehose peer yields
 /// back to the loop after this many bytes so it cannot starve its
@@ -50,7 +51,7 @@ const READ_BURST_CAP: usize = 256 * 1024;
 #[cfg(target_os = "linux")]
 const TICK_MS: i32 = 10;
 /// Quiet ticks before a connection's fault-plan holdbacks flush
-/// (≈ the threaded plane's 50 ms read timeout at 10 ms ticks).
+/// (50 ms at 10 ms ticks).
 const IDLE_TICKS: u32 = 5;
 
 /// Nonblocking byte transport (a `TcpStream` in production; scripted
@@ -216,7 +217,7 @@ impl<S: ConnIo> ReactorCore<S> {
     /// One reactor tick: age every connection's idle counter; those
     /// quiet for [`IDLE_TICKS`] flush their fault-plan holdbacks
     /// (delayed frames must not outlive the lull that would seal
-    /// their window — same rule as the threaded plane's read timeout).
+    /// their window).
     pub(crate) fn on_tick<I: Interests>(&mut self, interests: &mut I) {
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
@@ -391,10 +392,9 @@ fn flush_out<S: ConnIo>(conn: &mut Conn<S>) -> Flush {
 }
 
 #[cfg(target_os = "linux")]
-pub(crate) use real::Reactor;
+pub(crate) use real::TcpPlane;
 
-/// The real epoll reactor thread (Linux; other targets fall back to
-/// the threaded plane in `Server::start`).
+/// The real epoll plane (Linux).
 #[cfg(target_os = "linux")]
 mod real {
     use super::{Interests, ReactorCore, ReadOutcome, TICK_MS};
@@ -404,77 +404,172 @@ mod real {
         self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT,
         EPOLLRDHUP,
     };
+    use dt_obs::MetricsRegistry;
     use dt_types::{DtError, DtResult};
     use std::collections::HashMap;
-    use std::net::TcpStream;
+    use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::os::unix::io::{AsRawFd, RawFd};
     use std::sync::{Arc, Mutex};
     use std::thread::JoinHandle;
+    use std::time::Duration;
 
+    /// The reactor-pool cap; the pool is
+    /// `min(available_parallelism, MAX_REACTORS)`. In the
+    /// `CONN_sweep.json` ablation at 10 000 connections, 1 → 2
+    /// reactors lifted ingest from 340 k to 520 k frames/s and 2 → 4
+    /// only to 546 k (EXPERIMENTS.md, connection sweep).
+    const MAX_REACTORS: usize = 2;
     /// The wake eventfd's token; connection tokens start at 1.
     const WAKE: u64 = 0;
     /// Connection interest: edge-triggered read plus peer-close.
     const CONN_BASE: u32 = EPOLLIN | EPOLLRDHUP | EPOLLET;
 
-    struct Shared {
+    /// One reactor's kernel handles and hand-over inbox, shared by its
+    /// thread and the acceptor.
+    struct Reactor {
+        epoll: Epoll,
+        wake: EventFd,
         /// Connections the acceptor has handed over, waiting to be
         /// adopted into the epoll set: `(accept_idx, socket)`.
         inbox: Mutex<Vec<(u64, TcpStream)>>,
-        wake: EventFd,
-    }
-
-    /// One reactor thread of the event-loop ingest plane. The
-    /// acceptor round-robins fresh connections across the pool via
-    /// [`Reactor::register`]; shutdown sets the server stop flag and
-    /// [`Reactor::wake`]s each thread, which drains its connections
-    /// and exits.
-    pub(crate) struct Reactor {
-        shared: Arc<Shared>,
-        thread: Mutex<Option<JoinHandle<()>>>,
     }
 
     impl Reactor {
-        pub(crate) fn spawn(
-            idx: usize,
-            handle: ServerHandle,
-            obs: ReactorObs,
-        ) -> DtResult<Reactor> {
-            let shared = Arc::new(Shared {
-                inbox: Mutex::new(Vec::new()),
-                wake: EventFd::new().map_err(|e| DtError::engine(format!("eventfd: {e}")))?,
-            });
-            let run_shared = Arc::clone(&shared);
-            let thread = std::thread::Builder::new()
-                .name(format!("dt-reactor-{idx}"))
-                .spawn(move || run_reactor(run_shared, handle, obs))
-                .map_err(|e| DtError::engine(format!("spawn reactor: {e}")))?;
+        fn new() -> DtResult<Reactor> {
+            let epoll = Epoll::new().map_err(|e| DtError::engine(format!("epoll: {e}")))?;
+            let wake = EventFd::new().map_err(|e| DtError::engine(format!("eventfd: {e}")))?;
+            epoll
+                .add(wake.raw(), WAKE, EPOLLIN)
+                .map_err(|e| DtError::engine(format!("epoll add eventfd: {e}")))?;
             Ok(Reactor {
-                shared,
-                thread: Mutex::new(Some(thread)),
+                epoll,
+                wake,
+                inbox: Mutex::new(Vec::new()),
             })
         }
 
         /// Hand a fresh connection to this reactor (acceptor side).
-        pub(crate) fn register(&self, accept_idx: u64, sock: TcpStream) {
-            self.shared
-                .inbox
+        fn register(&self, accept_idx: u64, sock: TcpStream) {
+            self.inbox
                 .lock()
                 .expect("reactor inbox")
                 .push((accept_idx, sock));
-            self.shared.wake.signal();
+            self.wake.signal();
+        }
+    }
+
+    /// The TCP ingest plane: the listener, the acceptor thread that
+    /// round-robins fresh connections across the reactor pool by
+    /// accept order (so a connection's reactor, and the
+    /// readiness-layer fault schedule keyed by accept index, is
+    /// deterministic), and the reactor threads.
+    pub(crate) struct TcpPlane {
+        addr: SocketAddr,
+        /// Shared with the acceptor; held here so that [`TcpPlane::stop`]
+        /// shuts down a descriptor that is still open.
+        listener: Arc<TcpListener>,
+        reactors: Vec<Arc<Reactor>>,
+        threads: Vec<JoinHandle<()>>,
+        acceptor: Option<JoinHandle<()>>,
+    }
+
+    impl TcpPlane {
+        /// Bind `addr` and create every reactor's epoll set and wake
+        /// eventfd, so that a failure (an occupied port, fd exhaustion)
+        /// fails `Server::start` before any reactor thread runs.
+        pub(crate) fn bind(addr: &str) -> DtResult<TcpPlane> {
+            let listener = TcpListener::bind(addr)
+                .map_err(|e| DtError::config(format!("bind {addr}: {e}")))?;
+            let local = listener
+                .local_addr()
+                .map_err(|e| DtError::config(format!("local_addr: {e}")))?;
+            let pool = std::thread::available_parallelism()
+                .map_or(1, |n| n.get())
+                .min(MAX_REACTORS);
+            let reactors = (0..pool)
+                .map(|_| Reactor::new().map(Arc::new))
+                .collect::<DtResult<_>>()?;
+            Ok(TcpPlane {
+                addr: local,
+                listener: Arc::new(listener),
+                reactors,
+                threads: Vec::new(),
+                acceptor: None,
+            })
         }
 
-        /// Force a wakeup (shutdown path — the loop re-checks the
-        /// server stop flag on every wakeup).
-        pub(crate) fn wake(&self) {
-            self.shared.wake.signal();
+        /// The bound address.
+        pub(crate) fn addr(&self) -> SocketAddr {
+            self.addr
         }
 
-        /// Join the reactor thread (after the stop flag is set and
-        /// [`Reactor::wake`] called).
-        pub(crate) fn join(&self) {
-            if let Some(t) = self.thread.lock().expect("reactor thread").take() {
+        /// Start the reactor threads, then the acceptor. On an error
+        /// the threads already started stop in [`TcpPlane::stop`].
+        pub(crate) fn start(
+            &mut self,
+            handle: &ServerHandle,
+            metrics: &MetricsRegistry,
+        ) -> DtResult<()> {
+            for (i, reactor) in self.reactors.iter().enumerate() {
+                let (reactor, handle) = (Arc::clone(reactor), handle.clone());
+                let obs = ReactorObs::register(metrics, i);
+                self.threads.push(
+                    std::thread::Builder::new()
+                        .name(format!("dt-reactor-{i}"))
+                        .spawn(move || run_reactor(&reactor, handle, obs))
+                        .map_err(|e| DtError::engine(format!("spawn reactor: {e}")))?,
+                );
+            }
+            let listener = Arc::clone(&self.listener);
+            let (reactors, handle) = (self.reactors.clone(), handle.clone());
+            self.acceptor = Some(
+                std::thread::Builder::new()
+                    .name("dt-acceptor".to_string())
+                    .spawn(move || run_acceptor(&listener, handle, reactors))
+                    .map_err(|e| DtError::engine(format!("spawn acceptor: {e}")))?,
+            );
+            Ok(())
+        }
+
+        /// Stop the acceptor, then the reactors, each of which drains
+        /// its connections (holdbacks flushed) and exits. Call after
+        /// the server's stop flag is set.
+        pub(crate) fn stop(&mut self) {
+            if let Some(acceptor) = self.acceptor.take() {
+                // Wake a blocked `accept`; its error return sees the
+                // stop flag. This needs no free fd, so it works when
+                // the process has run out of them.
+                let _ = sys::shutdown_socket(self.listener.as_raw_fd());
+                let _ = acceptor.join();
+            }
+            for r in &self.reactors {
+                r.wake.signal();
+            }
+            for t in self.threads.drain(..) {
                 let _ = t.join();
+            }
+        }
+    }
+
+    /// Accept loop: hand each connection to the next reactor in turn
+    /// until the stop flag is set.
+    fn run_acceptor(listener: &TcpListener, handle: ServerHandle, reactors: Vec<Arc<Reactor>>) {
+        let mut accept_idx: u64 = 0;
+        loop {
+            let accepted = listener.accept();
+            if handle.stopping() {
+                return;
+            }
+            match accepted {
+                Ok((stream, _)) => {
+                    let r = &reactors[(accept_idx % reactors.len() as u64) as usize];
+                    r.register(accept_idx, stream);
+                    accept_idx += 1;
+                }
+                // An error such as EMFILE (no fd left) comes back at
+                // once on every retry: back off one tick instead of
+                // spinning.
+                Err(_) => std::thread::sleep(Duration::from_millis(TICK_MS as u64)),
             }
         }
     }
@@ -503,13 +598,12 @@ mod real {
         }
     }
 
-    fn run_reactor(shared: Arc<Shared>, handle: ServerHandle, obs: ReactorObs) {
-        let Ok(epoll) = Epoll::new() else { return };
-        if epoll.add(shared.wake.raw(), WAKE, EPOLLIN).is_err() {
-            return;
-        }
+    /// One reactor thread: wait on the epoll set, drive the core, and
+    /// once the server stops, drain every connection and return.
+    fn run_reactor(reactor: &Reactor, handle: ServerHandle, obs: ReactorObs) {
+        let epoll = &reactor.epoll;
         let mut interests = EpollInterests {
-            epoll: &epoll,
+            epoll,
             fds: HashMap::new(),
         };
         let wakeups = obs.wakeups.clone();
@@ -528,7 +622,7 @@ mod real {
                 Err(_) => {
                     // Should be unreachable (EINTR is retried inside
                     // `wait`); don't spin hot if it somehow isn't.
-                    std::thread::sleep(std::time::Duration::from_millis(TICK_MS as u64));
+                    std::thread::sleep(Duration::from_millis(TICK_MS as u64));
                     0
                 }
             };
@@ -536,7 +630,7 @@ mod real {
             for ev in events.iter().take(n) {
                 let (mask, token) = (ev.events, ev.data);
                 if token == WAKE {
-                    shared.wake.drain();
+                    reactor.wake.drain();
                     continue;
                 }
                 if mask & EPOLLOUT != 0 {
@@ -549,7 +643,7 @@ mod real {
                 }
             }
             // Adopt newly accepted connections.
-            let fresh: Vec<(u64, TcpStream)> = shared
+            let fresh: Vec<(u64, TcpStream)> = reactor
                 .inbox
                 .lock()
                 .expect("reactor inbox")
@@ -580,6 +674,36 @@ mod real {
                 return;
             }
         }
+    }
+}
+
+/// Off Linux there is no epoll, so there is no TCP plane: binding one
+/// is a config error, and the type has no values.
+#[cfg(not(target_os = "linux"))]
+pub(crate) enum TcpPlane {}
+
+#[cfg(not(target_os = "linux"))]
+impl TcpPlane {
+    pub(crate) fn bind(addr: &str) -> dt_types::DtResult<TcpPlane> {
+        Err(dt_types::DtError::config(format!(
+            "cannot serve {addr}: TCP ingest needs Linux (epoll)"
+        )))
+    }
+
+    pub(crate) fn addr(&self) -> std::net::SocketAddr {
+        match *self {}
+    }
+
+    pub(crate) fn start(
+        &mut self,
+        _handle: &ServerHandle,
+        _metrics: &dt_obs::MetricsRegistry,
+    ) -> dt_types::DtResult<()> {
+        match *self {}
+    }
+
+    pub(crate) fn stop(&mut self) {
+        match *self {}
     }
 }
 

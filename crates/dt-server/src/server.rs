@@ -1,18 +1,19 @@
 //! The runtime: ingest, workers, merger, control plane.
 //!
-//! [`Server::start`] compiles the configured queries, spawns one
-//! triage worker per physical stream, a window merger, and (when an
-//! address is given) a TCP acceptor for NDJSON tuple frames. The
+//! [`Server::start`] compiles the configured queries, spawns a window
+//! merger, one triage worker per physical stream shard, and (when an
+//! address is given) the TCP ingest plane for NDJSON tuple frames. The
 //! [`ServerHandle`] is the cheap, cloneable ingest facade shared by
-//! connection threads and in-process [`crate::Source`]s;
+//! the reactor threads and in-process [`crate::Source`]s;
 //! [`Server::shutdown`] runs the graceful drain and returns the final
 //! [`ServerReport`].
 
 use crate::config::ServerConfig;
 use crate::fault::FaultPlan;
-use crate::frame::{decode_frame, decode_incoming, Command, Decoded, FrameAssembler, FrameRef};
-use crate::ingest::{IngestSession, LineVerdict, ProgressSource};
+use crate::frame::{decode_frame, decode_incoming, Command, Decoded, FrameRef};
+use crate::ingest::ProgressSource;
 use crate::obs::{ServerObs, WorkerObs, FAULT_PANIC, FAULT_STALL};
+use crate::reactor::TcpPlane;
 use crate::stats::query_info_json;
 use crate::stats::{ServerReport, ServerStats};
 use crate::worker::{run_worker, Ctl, SeqTuple, TriageFactory, WorkerCtx};
@@ -28,18 +29,15 @@ use dt_triage::{
 use dt_types::{json, Json, ToJson};
 use dt_types::{Clock, DtError, DtResult, Timestamp, Tuple, VDuration, WindowId, WindowSpec};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// The longest the merger blocks on its inbox before re-reading the
-/// clock (it wakes sooner for a message or the next seal deadline),
-/// and how often blocked connection reads re-check the stop flag.
+/// clock (it wakes sooner for a message or the next seal deadline).
 const MERGER_POLL: Duration = Duration::from_millis(2);
-const CONN_READ_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Real time the watchdog waits after a watermark broadcast before it
 /// may force-seal. A healthy worker answers a watermark in
@@ -496,7 +494,7 @@ impl ServerHandle {
         }
     }
 
-    // ---- crate-internal accessors for the ingest planes ----------
+    // ---- crate-internal accessors for the TCP ingest plane --------
 
     /// Server-side instruments.
     pub(crate) fn obs(&self) -> &ServerObs {
@@ -573,16 +571,11 @@ impl ServerHandle {
 /// the report; dropping it runs the same drain and discards the report.
 pub struct Server {
     handle: ServerHandle,
-    addr: Option<SocketAddr>,
     workers: Vec<JoinHandle<DtResult<()>>>,
     merger: Option<JoinHandle<DtResult<ServerReport>>>,
     merger_tx: Sender<MergerMsg>,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// The event-loop plane's reactor pool (empty under `Threaded` or
-    /// when serving no socket).
-    #[cfg(target_os = "linux")]
-    reactors: Arc<Vec<crate::reactor::Reactor>>,
+    /// The listener, acceptor and reactor pool, when serving a socket.
+    tcp: Option<TcpPlane>,
 }
 
 impl Server {
@@ -590,6 +583,12 @@ impl Server {
     /// `addr = Some("127.0.0.1:0")` an NDJSON TCP listener is bound
     /// (port 0 picks a free port — read it back with
     /// [`Server::addr`]); with `None` the server is in-process only.
+    /// TCP ingest needs Linux (epoll): elsewhere `Some(addr)` is a
+    /// config error.
+    ///
+    /// A failed start (say, on an occupied port) leaves no server
+    /// thread running: an error after the first spawn runs the
+    /// shutdown sequence.
     pub fn start(
         cfg: &ServerConfig,
         addr: Option<&str>,
@@ -659,7 +658,7 @@ impl Server {
         let mut queues = Vec::new();
         let mut routers = Vec::new();
         let mut ctl_tx = Vec::new();
-        let mut workers = Vec::new();
+        let mut worker_ctxs = Vec::new();
         let (merger_tx, merger_rx) = unbounded::<MergerMsg>();
         for (i, s) in registry.streams().iter().enumerate() {
             // The whole group drains one backlog: the controller's
@@ -713,12 +712,7 @@ impl Server {
                 } else {
                     format!("dt-worker-{}-{k}", s.name)
                 };
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(tname)
-                        .spawn(move || run_worker(wctx))
-                        .map_err(|e| DtError::engine(format!("spawn worker: {e}")))?,
-                );
+                worker_ctxs.push((tname, wctx));
                 ctl_tx.push(ctx_tx);
             }
             queues.push(q);
@@ -753,6 +747,8 @@ impl Server {
             inner: Arc::clone(&inner),
         };
 
+        // The merger starts first: once it runs, a failed spawn can
+        // return through `Drop`, which stops whatever has started.
         let merger_inner = Arc::clone(&inner);
         let synopsis = cfg.synopsis;
         let grace = cfg.grace;
@@ -761,66 +757,28 @@ impl Server {
             .name("dt-merger".to_string())
             .spawn(move || run_merger(merger_inner, synopsis, grace, watchdog, merger_rx))
             .map_err(|e| DtError::engine(format!("spawn merger: {e}")))?;
-
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        #[cfg(target_os = "linux")]
-        let mut reactor_pool: Arc<Vec<crate::reactor::Reactor>> = Arc::new(Vec::new());
-        let (bound, acceptor) = match addr {
-            None => (None, None),
-            Some(spec_addr) => {
-                let listener = TcpListener::bind(spec_addr)
-                    .map_err(|e| DtError::config(format!("bind {spec_addr}: {e}")))?;
-                let local = listener
-                    .local_addr()
-                    .map_err(|e| DtError::config(format!("local_addr: {e}")))?;
-                // Pick the socket plane. The event loop needs epoll,
-                // so non-Linux targets silently fall back to the
-                // threaded plane; both planes drive the same
-                // [`IngestSession`], so sealed output is identical.
-                let sink;
-                #[cfg(target_os = "linux")]
-                {
-                    let pool = cfg.ingest.resolved_reactors();
-                    if pool > 0 {
-                        let mut reactors = Vec::with_capacity(pool);
-                        for i in 0..pool {
-                            reactors.push(crate::reactor::Reactor::spawn(
-                                i,
-                                handle.clone(),
-                                crate::obs::ReactorObs::register(&cfg.metrics, i),
-                            )?);
-                        }
-                        reactor_pool = Arc::new(reactors);
-                        sink = ConnSink::Reactors(Arc::clone(&reactor_pool));
-                    } else {
-                        sink = ConnSink::Threaded(Arc::clone(&conns));
-                    }
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    let _ = cfg.ingest;
-                    sink = ConnSink::Threaded(Arc::clone(&conns));
-                }
-                let acc_handle = handle.clone();
-                let acc = std::thread::Builder::new()
-                    .name("dt-acceptor".to_string())
-                    .spawn(move || run_acceptor(listener, acc_handle, sink))
-                    .map_err(|e| DtError::engine(format!("spawn acceptor: {e}")))?;
-                (Some(local), Some(acc))
-            }
-        };
-
-        Ok(Server {
+        let mut server = Server {
             handle,
-            addr: bound,
-            workers,
+            workers: Vec::with_capacity(worker_ctxs.len()),
             merger: Some(merger),
             merger_tx,
-            acceptor,
-            conns,
-            #[cfg(target_os = "linux")]
-            reactors: reactor_pool,
-        })
+            tcp: None,
+        };
+        for (tname, wctx) in worker_ctxs {
+            server.workers.push(
+                std::thread::Builder::new()
+                    .name(tname)
+                    .spawn(move || run_worker(wctx))
+                    .map_err(|e| DtError::engine(format!("spawn worker: {e}")))?,
+            );
+        }
+        // Bound after the workers start, so their start-up overlaps the
+        // socket set-up.
+        if let Some(addr) = addr {
+            let tcp = server.tcp.insert(TcpPlane::bind(addr)?);
+            tcp.start(&server.handle, &cfg.metrics)?;
+        }
+        Ok(server)
     }
 
     /// The ingest facade (clone it freely).
@@ -830,7 +788,7 @@ impl Server {
 
     /// The bound TCP address, when serving a socket.
     pub fn addr(&self) -> Option<SocketAddr> {
-        self.addr
+        self.tcp.as_ref().map(TcpPlane::addr)
     }
 
     /// Live counters.
@@ -846,39 +804,17 @@ impl Server {
     }
 
     /// The shutdown sequence behind both [`Server::shutdown`] and
-    /// `Drop`: stop the acceptor, connections and reactors, drain and
-    /// join every worker, then stop and join the merger. Runs once;
-    /// the merger handle it takes marks the server stopped.
+    /// `Drop`: stop the acceptor and reactors, drain and join every
+    /// worker, then stop and join the merger. Runs once; the merger
+    /// handle it takes marks the server stopped.
     fn stop_threads(&mut self) -> DtResult<ServerReport> {
         let Some(merger) = self.merger.take() else {
             return Err(DtError::engine("server already stopped"));
         };
         let inner = &self.handle.inner;
         inner.stop.store(true, Ordering::SeqCst);
-        if let Some(addr) = self.addr {
-            // Unblock the acceptor with a throwaway connection.
-            let _ = TcpStream::connect(addr);
-        }
-        if let Some(acc) = self.acceptor.take() {
-            let _ = acc.join();
-        }
-        // This also runs in `Drop`, which must not panic: a poisoned
-        // list is still a valid list of handles (a push either landed
-        // or did not).
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
-        for c in conns {
-            let _ = c.join();
-        }
-        // Reactors observe the stop flag at their next wakeup, drain
-        // every connection (holdbacks flushed), and exit.
-        #[cfg(target_os = "linux")]
-        {
-            for r in self.reactors.iter() {
-                r.wake();
-            }
-            for r in self.reactors.iter() {
-                r.join();
-            }
+        if let Some(tcp) = &mut self.tcp {
+            tcp.stop();
         }
         for tx in &inner.ctl_tx {
             let _ = tx.send(Ctl::Stop);
@@ -1403,108 +1339,6 @@ fn render_stats(inner: &Inner) -> Json {
         }
     }
     doc
-}
-
-/// Where the acceptor routes a fresh connection: a per-connection
-/// blocking thread (the original plane), or the event-loop plane's
-/// reactor pool (round-robin by accept order, so a connection's
-/// reactor — and the readiness-layer fault schedule keyed by accept
-/// index — is deterministic).
-enum ConnSink {
-    Threaded(Arc<Mutex<Vec<JoinHandle<()>>>>),
-    #[cfg(target_os = "linux")]
-    Reactors(Arc<Vec<crate::reactor::Reactor>>),
-}
-
-/// Accept loop. A throwaway connection made by `shutdown` (after the
-/// stop flag is set) unblocks `accept`.
-fn run_acceptor(listener: TcpListener, handle: ServerHandle, sink: ConnSink) {
-    let mut accept_idx: u64 = 0;
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        if handle.inner.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let idx = accept_idx;
-        accept_idx += 1;
-        match &sink {
-            ConnSink::Threaded(conns) => {
-                let conn_handle = handle.clone();
-                if let Ok(h) = std::thread::Builder::new()
-                    .name("dt-conn".to_string())
-                    .spawn(move || serve_conn(stream, conn_handle))
-                {
-                    conns.lock().expect("conns lock").push(h);
-                }
-            }
-            #[cfg(target_os = "linux")]
-            ConnSink::Reactors(reactors) => {
-                reactors[(idx % reactors.len() as u64) as usize].register(idx, stream);
-            }
-        }
-    }
-}
-
-/// One client connection on the threaded plane: a blocking read loop
-/// feeding the shared [`IngestSession`] state machine (HTTP probes,
-/// control replies, fault injection, the error budget — see
-/// `crate::ingest`). Replies accumulate in `out` and are written
-/// after every completed line; the 50 ms read timeout doubles as the
-/// idle tick that flushes fault-plan holdbacks and notices shutdown.
-fn serve_conn(stream: TcpStream, handle: ServerHandle) {
-    fn flush(writer: &mut TcpStream, out: &mut Vec<u8>) {
-        if !out.is_empty() {
-            let _ = writer.write_all(out);
-            out.clear();
-        }
-    }
-    let _ = stream.set_read_timeout(Some(CONN_READ_TIMEOUT));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    let mut asm = FrameAssembler::new();
-    let mut buf = [0u8; 16 * 1024];
-    let mut session = IngestSession::new(handle.fault_plan().clone());
-    let mut out: Vec<u8> = Vec::new();
-    loop {
-        match reader.read(&mut buf) {
-            Ok(0) => {
-                session.on_eof(&handle, asm.take_partial(), &mut out);
-                flush(&mut writer, &mut out);
-                return;
-            }
-            Ok(n) => {
-                asm.push(&buf[..n]);
-                while let Some(line) = asm.pull_line() {
-                    let verdict = session.on_line(&handle, line, &mut out);
-                    flush(&mut writer, &mut out);
-                    if verdict == LineVerdict::Close {
-                        return;
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                let verdict = session.on_idle(&handle, &mut out);
-                flush(&mut writer, &mut out);
-                if verdict == LineVerdict::Close || handle.stopping() {
-                    return;
-                }
-            }
-            Err(_) => {
-                session.on_error(&handle, &mut out);
-                flush(&mut writer, &mut out);
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

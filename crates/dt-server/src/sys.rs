@@ -1,9 +1,9 @@
-//! Minimal Linux readiness syscalls for the event-loop ingest plane.
+//! Minimal Linux readiness syscalls for the TCP ingest plane.
 //!
 //! The workspace takes no crates.io dependencies, and `std` exposes no
 //! readiness API — but every Rust binary on Linux already links libc,
 //! so the handful of syscall wrappers the reactor needs (`epoll`,
-//! `eventfd`, `fcntl`) are declared here directly as `extern "C"`
+//! `eventfd`, `fcntl`, `shutdown`) are declared here directly as `extern "C"`
 //! items. Everything is wrapped in two tiny RAII handles ([`Epoll`],
 //! [`EventFd`]) so the unsafe surface stays confined to this module.
 
@@ -22,6 +22,7 @@ extern "C" {
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
+    fn shutdown(sockfd: c_int, how: c_int) -> c_int;
 }
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -43,6 +44,8 @@ const EFD_NONBLOCK: c_int = 0o4000;
 const F_GETFL: c_int = 3;
 const F_SETFL: c_int = 4;
 const O_NONBLOCK: c_int = 0o4000;
+
+const SHUT_RDWR: c_int = 2;
 
 /// The kernel's `struct epoll_event`. On x86-64 the kernel ABI packs
 /// it (no padding between the 32-bit mask and the 64-bit payload);
@@ -189,6 +192,15 @@ impl Drop for EventFd {
 pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     let flags = cvt(unsafe { fcntl(fd, F_GETFL, 0) })?;
     cvt(unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) }).map(|_| ())
+}
+
+/// Shut socket `fd` down both ways. On a listening socket this wakes
+/// a thread blocked in `accept` (which then fails with `EINVAL`), and
+/// unlike a wake-up connection it needs no free descriptor.
+pub fn shutdown_socket(fd: RawFd) -> io::Result<()> {
+    // SAFETY: `shutdown` takes plain integers and touches no memory of
+    // ours; a bad `fd` is an error return.
+    cvt(unsafe { shutdown(fd, SHUT_RDWR) }).map(|_| ())
 }
 
 #[cfg(test)]

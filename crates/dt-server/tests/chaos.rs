@@ -15,11 +15,12 @@
 //! frame, supervised worker restart after an injected panic, and the
 //! client's typed timeouts and bounded retry loop.
 
+#![cfg(target_os = "linux")]
+
 use dt_query::Catalog;
 use dt_server::{
     fetch_metrics, fetch_stats, fetch_stats_with, render_frame, Client, ClientConfig, FaultPlan,
-    IngestPlane, MetricsRegistry, RetryPolicy, Server, ServerConfig, ServerReport, StatsReply,
-    VirtualClock,
+    MetricsRegistry, RetryPolicy, Server, ServerConfig, ServerReport, StatsReply, VirtualClock,
 };
 use dt_synopsis::SynopsisConfig;
 use dt_triage::RunReport;
@@ -609,7 +610,7 @@ fn client_reads_time_out_on_a_silent_server() {
 }
 
 // ---------------------------------------------------------------
-// Connection churn under readiness-layer faults (event-loop plane)
+// Connection churn under readiness-layer faults
 // ---------------------------------------------------------------
 
 /// Churn-soak shape: short-lived producer connections, each sending a
@@ -634,19 +635,18 @@ fn churn_frames() -> Vec<Vec<String>> {
         .collect()
 }
 
-fn churn_config(ingest: IngestPlane) -> ServerConfig {
+fn churn_config() -> ServerConfig {
     let mut catalog = Catalog::new();
     catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
     let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog);
     cfg.window = Some(VDuration::from_secs(1));
     cfg.synopsis = SynopsisConfig::Sparse { cell_width: 1 };
-    // Above the whole script: these tests pin plane equivalence, so
-    // triage must never shed — an in-process run offers a window's
+    // Above the whole script: these tests pin wire-vs-in-process
+    // equivalence, so triage must never shed — an in-process run offers a window's
     // batch in microseconds while the wire runs take milliseconds,
     // and a bounded queue would shed differently in each.
     cfg.channel_capacity = 2 * CHURN_WINDOWS * CHURN_CLIENTS * CHURN_LINES;
     cfg.metrics = MetricsRegistry::new();
-    cfg.ingest = ingest;
     cfg
 }
 
@@ -654,7 +654,7 @@ fn churn_config(ingest: IngestPlane) -> ServerConfig {
 /// to the handle — no sockets, no faults. Ground truth for what every
 /// wire run must seal.
 fn churn_reference() -> ServerReport {
-    let cfg = churn_config(IngestPlane::default());
+    let cfg = churn_config();
     let clock = Arc::new(VirtualClock::new());
     let server = Server::start(&cfg, None, clock.clone()).expect("reference server");
     let handle = server.handle();
@@ -731,8 +731,8 @@ fn send_churn_line(addr: SocketAddr, client: &mut Option<Client>, line: &str, ex
     }
 }
 
-/// The churn soak: hundreds of short-lived producers on the
-/// event-loop plane under readiness-layer faults — chopped reads,
+/// The churn soak: hundreds of short-lived producers on the TCP
+/// plane under readiness-layer faults — chopped reads,
 /// injected mid-frame disconnects, clean after-line disconnects —
 /// with the harness resending unacknowledged lines. The sealed
 /// windows must come out bit-identical to the in-process reference
@@ -753,7 +753,7 @@ fn connection_churn_with_readiness_faults_matches_the_reference() {
     .inject_read_disconnect(4, 1)
     .inject_read_disconnect(9, 2);
 
-    let mut cfg = churn_config(IngestPlane::EventLoop { reactors: 2 });
+    let mut cfg = churn_config();
     cfg.fault = plan;
     let clock = Arc::new(VirtualClock::new());
     let server = Server::start(&cfg, Some("127.0.0.1:0"), clock.clone()).expect("server starts");
@@ -834,54 +834,6 @@ fn connection_churn_with_readiness_faults_matches_the_reference() {
             a.groups(),
             b.groups(),
             "window {w}: churn run diverged from the in-process reference"
-        );
-    }
-}
-
-/// Fault-free A/B: the threaded and event-loop planes serve the same
-/// wire workload and seal bit-identical windows — the shared
-/// [`IngestSession`] makes the plane an implementation detail.
-#[test]
-fn ingest_planes_seal_identical_windows() {
-    let mut reports = Vec::new();
-    for ingest in [
-        IngestPlane::Threaded,
-        IngestPlane::EventLoop { reactors: 2 },
-    ] {
-        let cfg = churn_config(ingest);
-        let clock = Arc::new(VirtualClock::new());
-        let server =
-            Server::start(&cfg, Some("127.0.0.1:0"), clock.clone()).expect("server starts");
-        let addr = server.addr().expect("bound address");
-        let mut clients: Vec<Client> = (0..3).map(|_| harness_client(addr)).collect();
-        let mut sent = 0u64;
-        for (w, lines) in churn_frames().iter().enumerate() {
-            clock.set(Timestamp::from_micros((w as u64 + 1) * 1_000_000));
-            for (i, line) in lines.iter().enumerate() {
-                let k = i % clients.len();
-                clients[k].send_line(line).expect("send");
-                sent += 1;
-            }
-            poll("plane ingest", || processed(addr) >= sent);
-        }
-        for c in clients {
-            let _ = c.close();
-        }
-        reports.push(server.shutdown().expect("graceful shutdown"));
-    }
-    let (t, e) = (&reports[0].reports[0], &reports[1].reports[0]);
-    assert_eq!(t.windows.len(), e.windows.len());
-    for (wt, we) in t.windows.iter().zip(&e.windows) {
-        assert_eq!(wt.window, we.window);
-        assert_eq!(wt.arrived, we.arrived, "window {}", wt.window);
-        assert_eq!(wt.kept, we.kept, "window {}", wt.window);
-        assert_eq!(wt.dropped, we.dropped, "window {}", wt.window);
-        assert_eq!(wt.degraded, we.degraded, "window {}", wt.window);
-        assert_eq!(
-            wt.groups(),
-            we.groups(),
-            "planes diverged at window {}",
-            wt.window
         );
     }
 }

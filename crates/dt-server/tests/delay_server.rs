@@ -9,6 +9,8 @@
 //! (compare the pre-burst phase of the loopback test), so every shed
 //! observed here is the controller's doing.
 
+#![cfg(target_os = "linux")]
+
 use dt_query::Catalog;
 use dt_server::{fetch_metrics, MetricsRegistry, Server, ServerConfig, VirtualClock};
 use dt_synopsis::SynopsisConfig;

@@ -1,12 +1,13 @@
-//! Graceful-drain latency of the event-loop ingest plane.
+//! Graceful-drain latency of the TCP ingest plane.
 //!
-//! An idle connection on the threaded plane parks in a 50 ms read
-//! timeout; on the event loop it parks in epoll with *no* data ever
-//! arriving. Shutdown must not wait for peers to hang up: the reactor
+//! An idle connection parks in epoll with *no* data ever arriving.
+//! Shutdown must not wait for peers to hang up: the reactor
 //! observes the stop flag at its next wakeup (forced by an eventfd
 //! kick) and closes every connection in one sweep — holdbacks
 //! flushed, interest deregistered, then the socket dropped. This test
 //! pins that drain promptness end to end with live sockets.
+
+#![cfg(target_os = "linux")]
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -14,8 +15,8 @@ use std::time::{Duration, Instant};
 
 use dt_query::Catalog;
 use dt_server::{
-    fetch_metrics, fetch_stats, render_frame, Client, ClientConfig, IngestPlane, MetricsRegistry,
-    RetryPolicy, Server, ServerConfig,
+    fetch_metrics, fetch_stats, render_frame, Client, ClientConfig, MetricsRegistry, RetryPolicy,
+    Server, ServerConfig,
 };
 use dt_synopsis::SynopsisConfig;
 use dt_types::{DataType, Row, Schema, Timestamp, VDuration, VirtualClock};
@@ -29,7 +30,6 @@ fn drain_config() -> ServerConfig {
     cfg.window = Some(VDuration::from_secs(1));
     cfg.synopsis = SynopsisConfig::Sparse { cell_width: 1 };
     cfg.metrics = MetricsRegistry::new();
-    cfg.ingest = IngestPlane::EventLoop { reactors: 2 };
     cfg
 }
 
@@ -89,28 +89,25 @@ fn drain_closes_idle_connections_promptly() {
         assert!(Instant::now() < deadline, "frames never arrived");
         std::thread::sleep(Duration::from_millis(5));
     }
-    #[cfg(target_os = "linux")]
-    {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let m = fetch_metrics(addr).expect("metrics");
-            // The stats/metrics probe connections come and go, so the
-            // gauge is exactly the parked clients once they're all
-            // adopted and the probe has hung up.
-            if series_sum(&m, "dt_server_reactor_conns") >= IDLE_CONNS as u64 {
-                assert!(
-                    series_sum(&m, "dt_server_readiness_wakeups_total") > 0,
-                    "{m}"
-                );
-                assert!(m.contains("dt_server_ingest_read_burst_bytes"), "{m}");
-                break;
-            }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let m = fetch_metrics(addr).expect("metrics");
+        // The stats/metrics probe connections come and go, so the
+        // gauge is exactly the parked clients once they're all
+        // adopted and the probe has hung up.
+        if series_sum(&m, "dt_server_reactor_conns") >= IDLE_CONNS as u64 {
             assert!(
-                Instant::now() < deadline,
-                "reactors never adopted the idle conns"
+                series_sum(&m, "dt_server_readiness_wakeups_total") > 0,
+                "{m}"
             );
-            std::thread::sleep(Duration::from_millis(5));
+            assert!(m.contains("dt_server_ingest_read_burst_bytes"), "{m}");
+            break;
         }
+        assert!(
+            Instant::now() < deadline,
+            "reactors never adopted the idle conns"
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
 
     // The drain itself: the reactor tick is 10 ms, so even with

@@ -1,13 +1,15 @@
 //! Dropping a [`Server`] without calling `shutdown` still stops every
-//! thread it started: acceptor, connection threads, reactors, workers
-//! and merger.
+//! thread it started: acceptor, reactors, workers and merger; and a
+//! failed `Server::start` leaves none running.
 //!
 //! The check reads the names of this process's threads, so this file
 //! holds a single test: a second test running alongside would add
 //! server threads of its own.
 
+#![cfg(target_os = "linux")]
+
 use dt_query::Catalog;
-use dt_server::{Client, IngestPlane, Server, ServerConfig, VirtualClock};
+use dt_server::{Client, Server, ServerConfig, VirtualClock};
 use dt_types::{DataType, Row, Schema, Timestamp, VDuration};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,13 +51,12 @@ fn count(names: &[String], prefix: &str) -> usize {
     names.iter().filter(|n| n.starts_with(prefix)).count()
 }
 
-fn config(shards: usize, ingest: IngestPlane) -> ServerConfig {
+fn config(shards: usize) -> ServerConfig {
     let mut catalog = Catalog::new();
     catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
     let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog);
     cfg.window = Some(VDuration::from_millis(100));
     cfg.shards = shards;
-    cfg.ingest = ingest;
     cfg
 }
 
@@ -65,12 +66,8 @@ fn dropping_a_server_stops_all_its_threads() {
 
     // In-process: workers and merger only. The workers hold the
     // merger's inbox open, so nothing but an explicit stop ends them.
-    let server = Server::start(
-        &config(2, IngestPlane::default()),
-        None,
-        Arc::new(VirtualClock::new()),
-    )
-    .expect("server starts");
+    let server =
+        Server::start(&config(2), None, Arc::new(VirtualClock::new())).expect("server starts");
     server
         .handle()
         .offer_frame(r#"{"stream":"R","row":[1],"ts":0}"#)
@@ -81,34 +78,36 @@ fn dropping_a_server_stops_all_its_threads() {
     drop(server);
     wait_for("in-process server's threads gone", <[String]>::is_empty);
 
-    // Over TCP, on both ingest planes, with a client connection still
-    // open: the acceptor blocks in `accept` and the connection's
-    // reader (thread or reactor) in a read until the server stops them.
-    for ingest in [
-        IngestPlane::EventLoop { reactors: 2 },
-        IngestPlane::Threaded,
-    ] {
-        let server = Server::start(
-            &config(1, ingest),
-            Some("127.0.0.1:0"),
-            Arc::new(VirtualClock::new()),
-        )
-        .expect("server starts");
-        let mut client = Client::connect(server.addr().expect("bound")).expect("client connects");
-        client
-            .send("R", &Row::from_ints(&[1]), Some(Timestamp::ZERO))
-            .expect("frame sent");
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while server.stats().snapshot()[0].offered == 0 {
-            assert!(Instant::now() < deadline, "frame never offered");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        wait_for("acceptor up", |n| count(n, "dt-acceptor") == 1);
-        drop(server);
-        wait_for(
-            &format!("{ingest:?} TCP server's threads gone"),
-            <[String]>::is_empty,
-        );
-        drop(client);
+    // Over TCP, with a client connection still open: the acceptor
+    // blocks in `accept` and the connection's reactor in `epoll_wait`
+    // until the server stops them.
+    let server = Server::start(
+        &config(1),
+        Some("127.0.0.1:0"),
+        Arc::new(VirtualClock::new()),
+    )
+    .expect("server starts");
+    let addr = server.addr().expect("bound");
+    let mut client = Client::connect(addr).expect("client connects");
+    client
+        .send("R", &Row::from_ints(&[1]), Some(Timestamp::ZERO))
+        .expect("frame sent");
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while server.stats().snapshot()[0].offered == 0 {
+        assert!(Instant::now() < deadline, "frame never offered");
+        std::thread::sleep(Duration::from_millis(5));
     }
+    wait_for("acceptor up", |n| count(n, "dt-acceptor") == 1);
+
+    drop(server);
+    wait_for("TCP server's threads gone", <[String]>::is_empty);
+    drop(client);
+
+    // A start that fails (here on an occupied port) leaves no thread
+    // running.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let port = taken.local_addr().expect("bound").to_string();
+    let failed = Server::start(&config(2), Some(&port), Arc::new(VirtualClock::new()));
+    assert!(failed.is_err(), "start on an occupied port must fail");
+    wait_for("failed start's threads gone", <[String]>::is_empty);
 }

@@ -8,10 +8,12 @@
 //! burst stops the paced worker cold, which makes channel overflow —
 //! i.e. triage shedding — a certainty rather than a race.
 
+#![cfg(target_os = "linux")]
+
 use dt_query::Catalog;
 use dt_server::{
-    fetch_metrics, fetch_stats, Client, IngestPlane, MetricsRegistry, Server, ServerConfig,
-    VirtualClock, MAX_LINE_BYTES, MAX_WINDOWS_AHEAD,
+    fetch_metrics, fetch_stats, Client, MetricsRegistry, Server, ServerConfig, VirtualClock,
+    MAX_LINE_BYTES, MAX_WINDOWS_AHEAD,
 };
 use dt_synopsis::SynopsisConfig;
 use dt_triage::RunReport;
@@ -277,7 +279,7 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     assert!(snap.find("dt_server_window_latency_us", &[]).is_some());
 }
 
-/// Hostile lines cost one rejected frame each, on both socket planes:
+/// Hostile lines cost one rejected frame each:
 /// 200,000-deep `[` nests — bare, inside a tuple frame's unknown key,
 /// and inside a command — which unbounded recursion would turn into a
 /// stack overflow that aborts the process, and a line past
@@ -285,53 +287,47 @@ fn metrics_endpoint_serves_prometheus_exposition() {
 /// then goes on ingesting, and the server keeps serving.
 #[test]
 fn hostile_lines_are_rejected_frames_not_crashes() {
-    for plane in [
-        IngestPlane::EventLoop { reactors: 1 },
-        IngestPlane::Threaded,
-    ] {
-        let mut catalog = Catalog::new();
-        catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
-        let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog);
-        cfg.window = Some(VDuration::from_secs(1));
-        cfg.ingest = plane;
-        let clock = Arc::new(VirtualClock::new());
-        let server = Server::start(&cfg, Some("127.0.0.1:0"), clock).expect("server starts");
-        let addr = server.addr().expect("bound address");
-        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    let mut catalog = Catalog::new();
+    catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
+    let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog);
+    cfg.window = Some(VDuration::from_secs(1));
+    let clock = Arc::new(VirtualClock::new());
+    let server = Server::start(&cfg, Some("127.0.0.1:0"), clock).expect("server starts");
+    let addr = server.addr().expect("bound address");
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
 
-        let deep = "[".repeat(200_000);
-        for (k, line) in [
-            deep.clone(),
-            format!(r#"{{"stream":"R","row":[1],"x":{deep}}}"#),
-            format!(r#"{{"cmd":"list","x":{deep}}}"#),
-        ]
-        .iter()
-        .enumerate()
-        {
-            conn.write_all(format!("{line}\n").as_bytes())
-                .expect("deep line");
-            poll("deep line rejected", || {
-                fetch_stats(addr).unwrap().parse_errors == k as u64 + 1
-            });
-        }
-        let long = vec![b'x'; MAX_LINE_BYTES + 4096];
-        for chunk in long.chunks(64 * 1024) {
-            conn.write_all(chunk).expect("long line");
-        }
-        poll("long line rejected", || {
-            fetch_stats(addr).unwrap().parse_errors == 4
+    let deep = "[".repeat(200_000);
+    for (k, line) in [
+        deep.clone(),
+        format!(r#"{{"stream":"R","row":[1],"x":{deep}}}"#),
+        format!(r#"{{"cmd":"list","x":{deep}}}"#),
+    ]
+    .iter()
+    .enumerate()
+    {
+        conn.write_all(format!("{line}\n").as_bytes())
+            .expect("deep line");
+        poll("deep line rejected", || {
+            fetch_stats(addr).unwrap().parse_errors == k as u64 + 1
         });
-        conn.write_all(b"rest of the long line\n{\"stream\":\"R\",\"row\":[1],\"ts\":5}\n")
-            .expect("frame");
-        poll("frame after the hostile lines", || {
-            fetch_stats(addr).unwrap().stream("R").unwrap().offered == 1
-        });
-        assert_eq!(fetch_stats(addr).unwrap().parse_errors, 4, "{plane:?}");
-
-        drop(conn);
-        let report = server.shutdown().expect("graceful shutdown");
-        assert_eq!(report.streams[0].offered, 1, "{plane:?}");
     }
+    let long = vec![b'x'; MAX_LINE_BYTES + 4096];
+    for chunk in long.chunks(64 * 1024) {
+        conn.write_all(chunk).expect("long line");
+    }
+    poll("long line rejected", || {
+        fetch_stats(addr).unwrap().parse_errors == 4
+    });
+    conn.write_all(b"rest of the long line\n{\"stream\":\"R\",\"row\":[1],\"ts\":5}\n")
+        .expect("frame");
+    poll("frame after the hostile lines", || {
+        fetch_stats(addr).unwrap().stream("R").unwrap().offered == 1
+    });
+    assert_eq!(fetch_stats(addr).unwrap().parse_errors, 4);
+
+    drop(conn);
+    let report = server.shutdown().expect("graceful shutdown");
+    assert_eq!(report.streams[0].offered, 1);
 }
 
 /// A timestamp far past the clock (1e12 µs against a clock at zero,
@@ -340,47 +336,38 @@ fn hostile_lines_are_rejected_frames_not_crashes() {
 /// does not seal the million windows in between.
 #[test]
 fn far_future_timestamp_is_rejected_and_drain_stays_fast() {
-    for plane in [
-        IngestPlane::EventLoop { reactors: 1 },
-        IngestPlane::Threaded,
-    ] {
-        let mut catalog = Catalog::new();
-        catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
-        let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog);
-        cfg.window = Some(VDuration::from_secs(1));
-        cfg.ingest = plane;
-        let clock = Arc::new(VirtualClock::new());
-        let server = Server::start(&cfg, Some("127.0.0.1:0"), clock).expect("server starts");
-        let addr = server.addr().expect("bound address");
-        let mut conn = std::net::TcpStream::connect(addr).expect("connect");
-        conn.write_all(b"{\"stream\":\"R\",\"row\":[1],\"ts\":1000000000000}\n")
-            .expect("far-future frame");
-        poll("far-future frame rejected", || {
-            fetch_stats(addr).unwrap().parse_errors == 1
-        });
-        // The last window still accepted, then one ordinary frame.
-        let edge = (MAX_WINDOWS_AHEAD + 1) * 1_000_000 - 1;
-        conn.write_all(format!("{{\"stream\":\"R\",\"row\":[2],\"ts\":{edge}}}\n").as_bytes())
-            .expect("edge frame");
-        conn.write_all(b"{\"stream\":\"R\",\"row\":[1],\"ts\":5}\n")
-            .expect("frame");
-        poll("frames after the rejected one", || {
-            fetch_stats(addr).unwrap().stream("R").unwrap().offered == 2
-        });
-        assert_eq!(fetch_stats(addr).unwrap().parse_errors, 1, "{plane:?}");
+    let mut catalog = Catalog::new();
+    catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
+    let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog);
+    cfg.window = Some(VDuration::from_secs(1));
+    let clock = Arc::new(VirtualClock::new());
+    let server = Server::start(&cfg, Some("127.0.0.1:0"), clock).expect("server starts");
+    let addr = server.addr().expect("bound address");
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.write_all(b"{\"stream\":\"R\",\"row\":[1],\"ts\":1000000000000}\n")
+        .expect("far-future frame");
+    poll("far-future frame rejected", || {
+        fetch_stats(addr).unwrap().parse_errors == 1
+    });
+    // The last window still accepted, then one ordinary frame.
+    let edge = (MAX_WINDOWS_AHEAD + 1) * 1_000_000 - 1;
+    conn.write_all(format!("{{\"stream\":\"R\",\"row\":[2],\"ts\":{edge}}}\n").as_bytes())
+        .expect("edge frame");
+    conn.write_all(b"{\"stream\":\"R\",\"row\":[1],\"ts\":5}\n")
+        .expect("frame");
+    poll("frames after the rejected one", || {
+        fetch_stats(addr).unwrap().stream("R").unwrap().offered == 2
+    });
+    assert_eq!(fetch_stats(addr).unwrap().parse_errors, 1);
 
-        drop(conn);
-        let t0 = Instant::now();
-        let report = server.shutdown().expect("graceful shutdown");
-        let drain = t0.elapsed();
-        assert!(
-            drain < Duration::from_secs(1),
-            "{plane:?}: drain took {drain:?}"
-        );
-        assert_eq!(report.streams[0].offered, 2, "{plane:?}");
-        let last = report.reports[0].windows.last().expect("windows");
-        assert_eq!(last.window, MAX_WINDOWS_AHEAD, "{plane:?}");
-    }
+    drop(conn);
+    let t0 = Instant::now();
+    let report = server.shutdown().expect("graceful shutdown");
+    let drain = t0.elapsed();
+    assert!(drain < Duration::from_secs(1), "drain took {drain:?}");
+    assert_eq!(report.streams[0].offered, 2);
+    let last = report.reports[0].windows.last().expect("windows");
+    assert_eq!(last.window, MAX_WINDOWS_AHEAD);
 }
 
 #[test]

@@ -7,10 +7,12 @@
 //! emitted early by source progress; moving the clock to 160 ms lets
 //! the grace seal it.
 
+#![cfg(target_os = "linux")]
+
 use dt_query::Catalog;
 use dt_server::{
-    fetch_metrics, fetch_stats, Client, FaultPlan, IngestPlane, MetricsRegistry, Server,
-    ServerConfig, VirtualClock,
+    fetch_metrics, fetch_stats, Client, FaultPlan, MetricsRegistry, Server, ServerConfig,
+    VirtualClock,
 };
 use dt_triage::RunReport;
 use dt_types::{DataType, Row, Schema, Timestamp, VDuration};
@@ -117,27 +119,23 @@ fn count(report: &RunReport, w: u64) -> f64 {
 
 #[test]
 fn the_only_source_passing_a_window_end_seals_it_before_the_grace() {
-    for ingest in [IngestPlane::default(), IngestPlane::Threaded] {
-        let mut cfg = config();
-        cfg.ingest = ingest;
-        let (server, _clock, addr) = start(&cfg);
-        let mut client = Client::connect(addr).expect("connect");
-        send(&mut client, 10);
-        send(&mut client, 50);
-        poll("window 0 ingest", || offered(addr) == 2);
-        assert_held(addr, "no source has passed 100 ms");
-        send(&mut client, 120);
-        poll("window 0 emitted on progress", || emitted(addr) == 1);
-        std::thread::sleep(QUIET);
-        assert_eq!(emitted(addr), 1, "window 1 has not ended on the clock");
-        assert_eq!(seals(addr, "progress"), 1);
-        assert_eq!(seals(addr, "grace"), 0);
-        client.close().expect("close");
-        let report = server.shutdown().expect("shutdown");
-        assert_eq!(count(&report.reports[0], 0), 2.0);
-        assert_eq!(count(&report.reports[0], 1), 1.0);
-        assert!(report.streams.iter().all(|s| s.late == 0));
-    }
+    let (server, _clock, addr) = start(&config());
+    let mut client = Client::connect(addr).expect("connect");
+    send(&mut client, 10);
+    send(&mut client, 50);
+    poll("window 0 ingest", || offered(addr) == 2);
+    assert_held(addr, "no source has passed 100 ms");
+    send(&mut client, 120);
+    poll("window 0 emitted on progress", || emitted(addr) == 1);
+    std::thread::sleep(QUIET);
+    assert_eq!(emitted(addr), 1, "window 1 has not ended on the clock");
+    assert_eq!(seals(addr, "progress"), 1);
+    assert_eq!(seals(addr, "grace"), 0);
+    client.close().expect("close");
+    let report = server.shutdown().expect("shutdown");
+    assert_eq!(count(&report.reports[0], 0), 2.0);
+    assert_eq!(count(&report.reports[0], 1), 1.0);
+    assert!(report.streams.iter().all(|s| s.late == 0));
 }
 
 #[test]

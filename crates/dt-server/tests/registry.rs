@@ -7,6 +7,8 @@
 //! advances time on its own, so the tests decide exactly when windows
 //! close and the tuple → window assignment is deterministic.
 
+#![cfg(target_os = "linux")]
+
 use dt_query::Catalog;
 use dt_server::{
     fetch_metrics, fetch_stats, Client, MetricsRegistry, QuerySpec, Server, ServerConfig,

@@ -4,6 +4,8 @@
 //! idle workers must steal batches without losing or duplicating a
 //! single tuple.
 
+#![cfg(target_os = "linux")]
+
 use dt_query::Catalog;
 use dt_server::{MetricsRegistry, Server, ServerConfig, VirtualClock};
 use dt_synopsis::SynopsisConfig;
