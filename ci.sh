@@ -191,6 +191,12 @@ for bin in fig8 fig9 ablation_burstlen ablation_cellwidth ablation_policy ablati
         -p dt-bench --bin "$bin") > "$PIN_DIR/$bin.txt"
     diff "$PIN_DIR/$bin.txt" "results/$bin.txt"
 done
+# The delay-constraint sweep (DESIGN.md §11) is the pinned run in
+# which the adaptive controller engages; it writes delay_sweep.json to
+# the current directory, so it too runs from the pin directory.
+(cd "$PIN_DIR" && cargo run --release --quiet --manifest-path "$OLDPWD/Cargo.toml" \
+    -p dt-bench --bin delay_sweep -- --quick) > "$PIN_DIR/delay_sweep_quick.txt"
+diff "$PIN_DIR/delay_sweep_quick.txt" results/delay_sweep_quick.txt
 rm -rf "$PIN_DIR"
 
 # Perf-regression smoke: re-measure the headline metrics and fail if
@@ -198,12 +204,6 @@ rm -rf "$PIN_DIR"
 # machine-drift normalization (see bench_baseline's calibration
 # kernel). --quick keeps it cheap; suspicious metrics self-escalate.
 cargo run --release -p dt-bench --bin bench_baseline -- --compare --quick
-
-# Delay-constraint smoke: the adaptive-controller sweep (DESIGN.md
-# §11) must run end to end; its latency/deadline guarantees are gated
-# by the dt-triage and dt-metrics test suites, not re-judged here.
-(cd /tmp && cargo run --release --manifest-path "$OLDPWD/Cargo.toml" \
-    -p dt-bench --bin delay_sweep -- --quick)
 
 # Multi-query sharing smoke: the shared-vs-naive sweep (DESIGN.md §12)
 # must run end to end; the shared-triage invariant itself is gated by

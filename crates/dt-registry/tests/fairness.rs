@@ -107,7 +107,7 @@ fn run(a_rate: usize, fair_lanes: bool) -> Outcome {
         )
         .unwrap();
 
-    let base = Arc::new(SharedController::seeded(d, MAIN_US, 0.0));
+    let base = Arc::new(SharedController::with_constraint(Some(d), MAIN_US, 0.0));
     let ctl = FairController::new(Arc::clone(&base), Some(d));
     if fair_lanes {
         ctl.set_lanes(&reg.lanes_for_stream(0)).unwrap();

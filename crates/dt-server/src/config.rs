@@ -8,6 +8,13 @@ use dt_synopsis::SynopsisConfig;
 use dt_triage::{DelayConstraint, QueryExecutor, ShedMode};
 use dt_types::{DtError, DtResult, VDuration, WindowSpec};
 
+/// How many rejected frames an ingest connection tolerates before the
+/// server answers with a structured error frame and closes it. Each
+/// bad line still increments `parse_errors` and skips only that line;
+/// the budget bounds how long an evidently-broken sender can spam the
+/// parser.
+pub const CONN_ERROR_BUDGET: u64 = 32;
+
 /// Everything a [`crate::Server`] needs to start.
 ///
 /// The triage queue of the paper's Fig. 1 is realized as each
@@ -56,12 +63,6 @@ pub struct ServerConfig {
     /// Deterministic fault-injection schedule. Disabled by default;
     /// the chaos suite passes [`FaultPlan::seeded`] plans.
     pub fault: FaultPlan,
-    /// How many rejected frames an ingest connection tolerates before
-    /// the server answers with a structured error frame and closes it.
-    /// Each bad line still increments `parse_errors` and skips only
-    /// that line; the budget bounds how long an evidently-broken
-    /// sender can spam the parser.
-    pub conn_error_budget: u64,
     /// The merger's sealer watchdog: when a window stays unsealed this
     /// long (virtual time) past its end plus `grace`, the merger
     /// force-seals it from whatever contributions have arrived and
@@ -105,7 +106,6 @@ impl ServerConfig {
             pace_by_timestamp: true,
             metrics: MetricsRegistry::disabled(),
             fault: FaultPlan::disabled(),
-            conn_error_budget: 32,
             seal_watchdog: Some(VDuration::from_secs(5)),
             delay: None,
             cost_hint: CostModel::default(),
@@ -122,12 +122,6 @@ impl ServerConfig {
         if self.channel_capacity == 0 {
             return Err(DtError::config(
                 "channel capacity must be >= 1 (a zero-capacity channel would shed everything)",
-            ));
-        }
-        if self.conn_error_budget == 0 {
-            return Err(DtError::config(
-                "connection error budget must be >= 1 (a zero budget closes every connection \
-                 on its first frame)",
             ));
         }
         if self.shards == 0 {
@@ -192,17 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_error_budget() {
-        let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog());
-        cfg.conn_error_budget = 0;
-        assert!(cfg.compile().is_err());
-    }
-
-    #[test]
     fn defaults_are_fault_free() {
         let cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog());
         assert!(cfg.fault.is_disabled());
-        assert_eq!(cfg.conn_error_budget, 32);
         assert!(cfg.seal_watchdog.is_some());
     }
 

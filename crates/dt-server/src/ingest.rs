@@ -17,6 +17,7 @@
 //! and the merger seals a window once every source is past its end
 //! (DESIGN.md §7).
 
+use crate::config::CONN_ERROR_BUDGET;
 use crate::fault::FaultPlan;
 use crate::frame::Line;
 use crate::obs::{
@@ -158,7 +159,7 @@ impl IngestSession {
     fn reject(&mut self, handle: &ServerHandle) -> bool {
         handle.note_rejected_frame();
         self.errors += 1;
-        self.errors >= handle.error_budget()
+        self.errors >= CONN_ERROR_BUDGET
     }
 
     /// Release every held line due at or before line index `upto`
@@ -179,8 +180,7 @@ impl IngestSession {
         let _ = self.release_held(handle, out, u64::MAX);
         let msg = format!(
             "{{\"error\":\"error budget exhausted\",\"rejected\":{},\"budget\":{}}}\n",
-            self.errors,
-            handle.error_budget()
+            self.errors, CONN_ERROR_BUDGET
         );
         out.extend_from_slice(msg.as_bytes());
     }

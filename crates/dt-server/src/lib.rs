@@ -101,7 +101,7 @@ pub use client::{
     fetch_metrics, fetch_metrics_with, fetch_stats, fetch_stats_with, Client, ClientConfig,
     QueryEntry, RetryPolicy, StatsReply,
 };
-pub use config::ServerConfig;
+pub use config::{ServerConfig, CONN_ERROR_BUDGET};
 pub use fault::{Corruption, FaultPlan};
 pub use frame::{
     parse_frame, parse_incoming, render_frame, render_frame_tagged, Command, Frame, FrameAssembler,

@@ -710,7 +710,7 @@ impl TcpPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ServerConfig;
+    use crate::config::{ServerConfig, CONN_ERROR_BUDGET};
     use crate::fault::FaultPlan;
     use crate::server::Server;
     use dt_query::Catalog;
@@ -732,10 +732,9 @@ mod tests {
     /// A socketless server under a frozen `VirtualClock` — the core is
     /// driven entirely by hand, so nothing in these tests depends on
     /// wall time or real readiness.
-    fn start_server(fault: FaultPlan, budget: u64) -> Server {
+    fn start_server(fault: FaultPlan) -> Server {
         let mut cfg = ServerConfig::new("SELECT a, COUNT(*) FROM R GROUP BY a", catalog());
         cfg.fault = fault;
-        cfg.conn_error_budget = budget;
         Server::start(&cfg, None, Arc::new(VirtualClock::new())).unwrap()
     }
 
@@ -842,7 +841,7 @@ mod tests {
 
     #[test]
     fn spurious_wakeup_is_a_no_op() {
-        let server = start_server(FaultPlan::disabled(), 32);
+        let server = start_server(FaultPlan::disabled());
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let (mut core, mut ints) = rig(&server, &log);
         core.add(1, 0, FakeSock::new("c1", &log));
@@ -856,7 +855,7 @@ mod tests {
 
     #[test]
     fn write_backpressure_rearms_then_drains() {
-        let server = start_server(FaultPlan::disabled(), 32);
+        let server = start_server(FaultPlan::disabled());
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let (mut core, mut ints) = rig(&server, &log);
         let mut sock = FakeSock::new("c1", &log);
@@ -880,11 +879,11 @@ mod tests {
 
     #[test]
     fn budget_teardown_orders_farewell_deregister_close() {
-        let server = start_server(FaultPlan::disabled(), 2);
+        let server = start_server(FaultPlan::disabled());
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let (mut core, mut ints) = rig(&server, &log);
         let mut sock = FakeSock::new("c1", &log);
-        sock.push_read(b"not json\nstill not json\n");
+        sock.push_read(&b"not json\n".repeat(CONN_ERROR_BUDGET as usize));
         let sink = sock.sink();
         core.add(1, 0, sock);
         assert_eq!(core.on_readable(1, &mut ints), ReadOutcome::Done);
@@ -897,13 +896,16 @@ mod tests {
         // Pinned teardown ordering: interest leaves the registry
         // strictly before the socket closes.
         assert_eq!(*log.borrow(), vec!["deregister 1", "close c1"]);
-        assert_eq!(server.stats().parse_errors.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            server.stats().parse_errors.load(Ordering::SeqCst),
+            CONN_ERROR_BUDGET
+        );
         server.shutdown().unwrap();
     }
 
     #[test]
     fn eof_counts_the_torn_trailing_frame() {
-        let server = start_server(FaultPlan::disabled(), 32);
+        let server = start_server(FaultPlan::disabled());
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let (mut core, mut ints) = rig(&server, &log);
         let mut sock = FakeSock::new("c1", &log);
@@ -928,7 +930,7 @@ mod tests {
         // Accept index 7, read attempt 1 tears: read 0 delivers one
         // whole frame plus a fragment, then the wire "breaks".
         let plan = FaultPlan::disabled().inject_read_disconnect(7, 1);
-        let server = start_server(plan, 32);
+        let server = start_server(plan);
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let (mut core, mut ints) = rig(&server, &log);
         let mut sock = FakeSock::new("c1", &log);
@@ -958,7 +960,7 @@ mod tests {
             p.read_chop_rate = 1.0;
             p
         };
-        let server = start_server(plan, 32);
+        let server = start_server(plan);
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let (mut core, mut ints) = rig(&server, &log);
         let mut sock = FakeSock::new("c1", &log);
@@ -981,7 +983,7 @@ mod tests {
             p.delay_rate = 1.0;
             p
         };
-        let server = start_server(plan, 32);
+        let server = start_server(plan);
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let (mut core, mut ints) = rig(&server, &log);
         let mut sock = FakeSock::new("c1", &log);
@@ -1008,7 +1010,7 @@ mod tests {
             p.delay_rate = 1.0;
             p
         };
-        let server = start_server(plan, 32);
+        let server = start_server(plan);
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let (mut core, mut ints) = rig(&server, &log);
         let mut sock = FakeSock::new("c1", &log);
@@ -1034,7 +1036,7 @@ mod tests {
 
     #[test]
     fn drain_all_closes_every_connection_in_one_sweep() {
-        let server = start_server(FaultPlan::disabled(), 32);
+        let server = start_server(FaultPlan::disabled());
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let (mut core, mut ints) = rig(&server, &log);
         core.add(1, 0, FakeSock::new("c1", &log));
@@ -1049,7 +1051,7 @@ mod tests {
 
     #[test]
     fn burst_cap_yields_and_resumes_via_carry() {
-        let server = start_server(FaultPlan::disabled(), 32);
+        let server = start_server(FaultPlan::disabled());
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let (mut core, mut ints) = rig(&server, &log);
         let mut sock = FakeSock::new("c1", &log);

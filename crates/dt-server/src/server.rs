@@ -110,9 +110,6 @@ struct Inner {
     stop: AtomicBool,
     /// The active fault-injection schedule (disabled in production).
     fault: FaultPlan,
-    /// Rejected frames tolerated per ingest connection before it is
-    /// closed with a structured error frame.
-    error_budget: u64,
     /// Ingest-connection ids, drawn lazily at a connection's first
     /// data line (HTTP probes never draw one, keeping the ids — and
     /// thus the fault schedule — deterministic for test harnesses).
@@ -506,11 +503,6 @@ impl ServerHandle {
         &self.inner.fault
     }
 
-    /// Rejected frames tolerated per connection.
-    pub(crate) fn error_budget(&self) -> u64 {
-        self.inner.error_budget
-    }
-
     /// Draw the next ingest-connection id (lazily, at a connection's
     /// first data line, so HTTP probes never consume one).
     pub(crate) fn next_conn_id(&self) -> u64 {
@@ -628,22 +620,11 @@ impl Server {
         // hint with measured costs as they process. Without a
         // constraint the base controller keeps everything.
         let constraint = cfg.delay.filter(|_| cfg.mode.uses_engine());
-        let syn_us = cfg.cost_hint.synopsis_insert_time.micros() as f64;
-        let main_us = cfg.cost_hint.service_time.micros() as f64
-            + if cfg.mode == ShedMode::DataTriage {
-                syn_us
-            } else {
-                0.0
-            };
-        let triage_us = if cfg.mode.uses_synopses() {
-            syn_us
-        } else {
-            0.0
-        };
         let admission: Vec<FairController> = names
             .iter()
             .map(|name| {
-                let mut base = SharedController::with_constraint(constraint, main_us, triage_us);
+                let mut base =
+                    SharedController::from_cost_model(constraint, &cfg.cost_hint, cfg.mode);
                 // The Prometheus gauge surface stays keyed to the
                 // configured constraint: an unconstrained server
                 // exports no dt_triage_* series (runtime-registered
@@ -733,7 +714,6 @@ impl Server {
             admission,
             stop: AtomicBool::new(false),
             fault: cfg.fault.clone(),
-            error_budget: cfg.conn_error_budget,
             conn_seq: AtomicU64::new(0),
             sources: Mutex::new(Sources {
                 gauge: obs.ingest_sources.clone(),

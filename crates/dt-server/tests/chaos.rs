@@ -21,6 +21,7 @@ use dt_query::Catalog;
 use dt_server::{
     fetch_metrics, fetch_stats, fetch_stats_with, render_frame, Client, ClientConfig, FaultPlan,
     MetricsRegistry, RetryPolicy, Server, ServerConfig, ServerReport, StatsReply, VirtualClock,
+    CONN_ERROR_BUDGET,
 };
 use dt_synopsis::SynopsisConfig;
 use dt_triage::RunReport;
@@ -441,7 +442,6 @@ fn error_budget_closes_noisy_connections_with_a_structured_frame() {
     cfg.window = Some(VDuration::from_secs(1));
     cfg.synopsis = SynopsisConfig::Sparse { cell_width: 1 };
     cfg.metrics = MetricsRegistry::new();
-    cfg.conn_error_budget = 3;
 
     let clock = Arc::new(VirtualClock::new());
     let server = Server::start(&cfg, Some("127.0.0.1:0"), clock.clone()).expect("server starts");
@@ -456,11 +456,18 @@ fn error_budget_closes_noisy_connections_with_a_structured_frame() {
     )
     .expect("client connects");
 
-    // Two bad lines: within budget, each skipped, connection alive.
-    noisy.send_line("not a frame").expect("send");
-    noisy.send_line("{\"torn\":").expect("send");
+    // One bad line short of the budget: each skipped, connection
+    // alive.
+    for i in 1..CONN_ERROR_BUDGET {
+        let line = if i % 2 == 0 {
+            "{\"torn\":"
+        } else {
+            "not a frame"
+        };
+        noisy.send_line(line).expect("send");
+    }
     poll("bad lines counted", || {
-        fetch_stats(addr).unwrap().parse_errors == 2
+        fetch_stats(addr).unwrap().parse_errors == CONN_ERROR_BUDGET - 1
     });
     noisy
         .send(
@@ -473,7 +480,7 @@ fn error_budget_closes_noisy_connections_with_a_structured_frame() {
         fetch_stats(addr).unwrap().stream("R").unwrap().offered == 1
     });
 
-    // The third strike exhausts the budget: structured frame, close.
+    // The last strike exhausts the budget: structured frame, close.
     noisy.send_line("@@garbage@@").expect("send");
     let frame = noisy
         .recv_line()
@@ -483,8 +490,9 @@ fn error_budget_closes_noisy_connections_with_a_structured_frame() {
         frame.contains("\"error\":\"error budget exhausted\""),
         "{frame}"
     );
-    assert!(frame.contains("\"rejected\":3"), "{frame}");
-    assert!(frame.contains("\"budget\":3"), "{frame}");
+    let budget = CONN_ERROR_BUDGET;
+    assert!(frame.contains(&format!("\"rejected\":{budget}")), "{frame}");
+    assert!(frame.contains(&format!("\"budget\":{budget}")), "{frame}");
     assert_eq!(noisy.recv_line().expect("EOF after frame"), None);
 
     // Only that connection died: a fresh producer is unaffected.
@@ -501,7 +509,7 @@ fn error_budget_closes_noisy_connections_with_a_structured_frame() {
     });
     let metrics = fetch_metrics(addr).expect("metrics");
     assert!(
-        metrics.contains("dt_server_frames_rejected_total 3"),
+        metrics.contains(&format!("dt_server_frames_rejected_total {budget}")),
         "{metrics}"
     );
 

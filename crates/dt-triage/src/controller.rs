@@ -6,12 +6,17 @@
 //! out — from measured per-tuple costs — how deep the triage queue may
 //! grow before tuples must be diverted to the synopsis path so the
 //! window still seals on time. This module implements that control
-//! loop for both runtimes:
+//! loop once, as [`SharedController`], and both runtimes drive it:
 //!
-//! * [`LoadController`] — the single-threaded flavor owned by the
-//!   simulation's [`crate::SharedPipeline`].
-//! * [`SharedController`] — the lock-free flavor shared between
-//!   `dt-server`'s ingest threads, worker, and merger watchdog.
+//! * the simulation's [`crate::SharedPipeline`] owns one per physical
+//!   stream and feeds each the *total* backlog of every triage queue,
+//!   because its one virtual engine drains them all;
+//! * `dt-server` shares one per stream between its ingest threads,
+//!   worker group, and merger watchdog, fed that stream's own queue
+//!   depth.
+//!
+//! [`FairController`] wraps a stream's controller to apportion its
+//! shedding across tenant lanes.
 //!
 //! # Threshold derivation
 //!
@@ -27,10 +32,11 @@
 //! T = max(1, floor((D − Ĉ_triage) / Ĉ_main) − 1)
 //! ```
 //!
-//! Both costs are online EWMA estimates ([`Ewma`]), seeded from the
-//! static [`dt_engine::CostModel`] so the controller is sensible from
-//! the first tuple and converges to measured reality as samples
-//! arrive.
+//! Both costs are online EWMA estimates (`est ← est + α·(x − est)`,
+//! α = [`DEFAULT_ALPHA`]), seeded from the static
+//! [`dt_engine::CostModel`] ([`SharedController::from_cost_model`]) so
+//! the controller is sensible from the first tuple and converges to
+//! measured reality as samples arrive.
 //!
 //! # The headroom band
 //!
@@ -39,14 +45,18 @@
 //! Instead, a *headroom band* covering the top [`DEFAULT_HEADROOM`]
 //! fraction of the threshold ramps the shed fraction linearly from
 //! near 0 (at the band's floor) to 1 (at `T`). The ramp is realized
-//! with an error-diffusion accumulator rather than a random draw, so
-//! a fraction `f` sheds exactly `f` of offered tuples in steady state
-//! and every decision is deterministic — reproducibility is a
-//! workspace-wide invariant (DESIGN.md §11).
+//! with a per-mille error-diffusion accumulator rather than a random
+//! draw, so a fraction `f` sheds `f` (rounded to 1/1000) of offered
+//! tuples in steady state and every decision is deterministic —
+//! reproducibility is a workspace-wide invariant (DESIGN.md §11).
 
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+
+use dt_engine::CostModel;
 use dt_types::{DtError, DtResult, VDuration};
 
 use crate::obs::ControllerGauges;
+use crate::shed::ShedMode;
 
 /// Smoothing factor for the cost EWMAs: each new sample moves the
 /// estimate 10 % of the way to the observation, so the estimate
@@ -94,71 +104,6 @@ impl DelayConstraint {
 impl std::fmt::Display for DelayConstraint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.0.fmt(f)
-    }
-}
-
-/// An exponentially weighted moving average with explicit cold-start:
-/// before any observation the value is the (optional) seed; the first
-/// observation of an unseeded estimator is adopted exactly rather
-/// than averaged against nothing.
-///
-/// ```
-/// use dt_triage::Ewma;
-///
-/// let mut e = Ewma::new(0.5)?;
-/// assert!(e.value().is_none());
-/// e.observe(10.0); // cold start: adopted exactly
-/// assert_eq!(e.value(), Some(10.0));
-/// e.observe(20.0);
-/// assert_eq!(e.value(), Some(15.0));
-/// # Ok::<(), dt_types::DtError>(())
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// An unseeded estimator; `alpha` must lie in `(0, 1]`.
-    pub fn new(alpha: f64) -> DtResult<Self> {
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(DtError::config(format!(
-                "EWMA smoothing factor must be in (0, 1], got {alpha}"
-            )));
-        }
-        Ok(Ewma { alpha, value: None })
-    }
-
-    /// An estimator primed with `seed` (e.g. a cost-model prediction),
-    /// blended away by observations at the same `alpha` rate.
-    pub fn seeded(alpha: f64, seed: f64) -> DtResult<Self> {
-        let mut e = Ewma::new(alpha)?;
-        e.value = Some(seed);
-        Ok(e)
-    }
-
-    /// Fold one sample into the estimate.
-    pub fn observe(&mut self, sample: f64) {
-        self.value = Some(match self.value {
-            None => sample,
-            Some(v) => v + self.alpha * (sample - v),
-        });
-    }
-
-    /// The current estimate, if any sample or seed has been supplied.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// The current estimate, or `default` while cold.
-    pub fn get_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 }
 
@@ -220,127 +165,33 @@ fn ramp_fraction(depth: u64, threshold: u64, headroom: f64) -> f64 {
     (depth - floor + 1) as f64 / (threshold - floor + 1) as f64
 }
 
-/// The single-threaded adaptive controller, one per physical stream
-/// of a [`crate::SharedPipeline`]. See the module docs for the math.
-#[derive(Debug, Clone)]
-pub struct LoadController {
-    constraint: DelayConstraint,
-    headroom: f64,
-    main_us: Ewma,
-    triage_us: Ewma,
-    /// Error-diffusion accumulator: `decide` adds the current shed
-    /// fraction and sheds on every whole-unit crossing, so a steady
-    /// fraction `f` sheds exactly `f` of offers — deterministically.
-    acc: f64,
-    last_fraction: f64,
-    last_depth: u64,
-    gauges: ControllerGauges,
+/// A fraction in `[0, 1]` as per-mille units (0–1000).
+fn per_mille(f: f64) -> u64 {
+    (f * 1000.0).round() as u64
 }
 
-impl LoadController {
-    /// A controller with cold (unseeded) cost estimates: it sheds
-    /// nothing until the first main-path cost observation arrives.
-    pub fn new(constraint: DelayConstraint) -> Self {
-        LoadController {
-            constraint,
-            headroom: DEFAULT_HEADROOM,
-            main_us: Ewma::new(DEFAULT_ALPHA).expect("constant alpha is valid"),
-            triage_us: Ewma::new(DEFAULT_ALPHA).expect("constant alpha is valid"),
-            acc: 0.0,
-            last_fraction: 0.0,
-            last_depth: 0,
-            gauges: ControllerGauges::default(),
-        }
-    }
-
-    /// A controller primed with cost-model predictions (µs/tuple), so
-    /// the threshold is meaningful before any measurement lands.
-    pub fn seeded(constraint: DelayConstraint, main_us: f64, triage_us: f64) -> Self {
-        let mut c = LoadController::new(constraint);
-        c.main_us = Ewma::seeded(DEFAULT_ALPHA, main_us).expect("constant alpha is valid");
-        c.triage_us = Ewma::seeded(DEFAULT_ALPHA, triage_us).expect("constant alpha is valid");
-        c
-    }
-
-    /// Attach gauges; the current state is published immediately (so
-    /// an idle scrape already shows the seeded threshold) and again on
-    /// every decision.
-    pub fn with_gauges(mut self, gauges: ControllerGauges) -> Self {
-        self.gauges = gauges;
-        self.gauges.publish(&self.state());
-        self
-    }
-
-    /// The configured constraint.
-    pub fn constraint(&self) -> DelayConstraint {
-        self.constraint
-    }
-
-    /// Fold one measured main-path cost (µs for one tuple).
-    pub fn observe_main(&mut self, us: f64) {
-        self.main_us.observe(us);
-    }
-
-    /// Fold one measured triage-path cost (µs for one shed tuple).
-    pub fn observe_triage(&mut self, us: f64) {
-        self.triage_us.observe(us);
-    }
-
-    /// The current dynamic triage threshold (tuples).
-    pub fn threshold(&self) -> u64 {
-        threshold_for(
-            self.constraint.micros() as f64,
-            self.main_us.get_or(0.0),
-            self.triage_us.get_or(0.0),
-        )
-    }
-
-    /// Decide one arriving tuple's fate given the current queue depth,
-    /// and publish the state to any attached gauges.
-    pub fn decide(&mut self, depth: usize) -> ShedDecision {
-        let depth = depth as u64;
-        let threshold = self.threshold();
-        let f = ramp_fraction(depth, threshold, self.headroom);
-        self.last_fraction = f;
-        self.last_depth = depth;
-        let decision = if f >= 1.0 {
-            ShedDecision::Shed
-        } else if f <= 0.0 {
-            ShedDecision::Keep
-        } else {
-            self.acc += f;
-            if self.acc >= 1.0 {
-                self.acc -= 1.0;
-                ShedDecision::Shed
-            } else {
-                ShedDecision::Keep
-            }
-        };
-        let state = self.state();
-        self.gauges.publish(&state);
-        decision
-    }
-
-    /// The controller's current state (threshold, estimated delay at
-    /// the last observed depth, last shed fraction, cost estimates).
-    pub fn state(&self) -> ControllerState {
-        ControllerState {
-            threshold: self.threshold(),
-            estimated_delay: VDuration::from_micros(
-                (self.last_depth as f64 * self.main_us.get_or(0.0)).round() as u64,
-            ),
-            shed_fraction: self.last_fraction,
-            main_cost_us: self.main_us.get_or(0.0),
-            triage_cost_us: self.triage_us.get_or(0.0),
-        }
+/// One error-diffusion step: add the per-mille fraction `fm` to `acc`
+/// and shed on every whole-unit (1000) crossing, so a steady `fm`
+/// sheds exactly `fm` of every 1000 decisions — deterministically.
+/// `u64` wrapping keeps it lock-free.
+fn diffuse(acc: &AtomicU64, fm: u64) -> ShedDecision {
+    let prev = acc.fetch_add(fm, Ordering::Relaxed);
+    if (prev % 1000) + fm >= 1000 {
+        ShedDecision::Shed
+    } else {
+        ShedDecision::Keep
     }
 }
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-
-/// The lock-free adaptive controller shared between `dt-server`'s
-/// ingest connections (decide), worker (cost observations, dequeue
-/// accounting), and merger watchdog ([`SharedController::penalize`]).
+/// The adaptive controller of one stream, for both runtimes (see the
+/// module docs). In `dt-server` it is shared lock-free between the
+/// ingest connections (decide), the worker group (cost observations,
+/// dequeue accounting), and the merger watchdog
+/// ([`SharedController::penalize`]); the simulator owns one per
+/// physical stream and drives it from its one thread.
+///
+/// The depth the ramp reads is whatever the owner reports through
+/// [`SharedController::on_enqueue`] / [`SharedController::on_dequeue`].
 ///
 /// Cost estimates live as `f64` bit patterns in atomics; the EWMA
 /// update is a read-modify-write without a CAS loop, so two racing
@@ -357,8 +208,8 @@ pub struct SharedController {
     headroom: f64,
     main_us_bits: AtomicU64,
     triage_us_bits: AtomicU64,
-    /// Tuples currently in the stream's bounded channel (enqueued at
-    /// ingest, dequeued by the worker).
+    /// The backlog a new arrival waits behind, as reported through
+    /// `on_enqueue` / `on_dequeue`.
     depth: AtomicI64,
     /// How many workers drain this backlog concurrently (DESIGN.md
     /// §15). A sharded stream's group shares one controller, so
@@ -367,26 +218,18 @@ pub struct SharedController {
     /// delay estimate divide the per-tuple main cost accordingly.
     drains: AtomicU64,
     /// Error-diffusion accumulator in millifraction units (see
-    /// [`LoadController::decide`]); `u64` wrapping keeps it lock-free.
+    /// [`diffuse`]).
     acc_milli: AtomicU64,
     last_fraction_milli: AtomicU64,
     gauges: ControllerGauges,
 }
 
 impl SharedController {
-    /// A controller primed with cost-model predictions (µs/tuple).
-    pub fn seeded(constraint: DelayConstraint, main_us: f64, triage_us: f64) -> Self {
-        Self::with_constraint(Some(constraint), main_us, triage_us)
-    }
-
-    /// A controller with no delay constraint: it never sheds on its
-    /// own (the bounded channel is the only backstop) until
-    /// [`SharedController::set_constraint`] tightens it.
-    pub fn unconstrained(main_us: f64, triage_us: f64) -> Self {
-        Self::with_constraint(None, main_us, triage_us)
-    }
-
-    /// A controller with an optional constraint (`None` = never shed).
+    /// A controller primed with cost estimates (µs/tuple) and an
+    /// optional constraint. `None` never sheds on its own (the bounded
+    /// queue is the only backstop) until
+    /// [`SharedController::set_constraint`] tightens it; a zero
+    /// `main_us` never sheds until a main-path cost is observed.
     pub fn with_constraint(
         constraint: Option<DelayConstraint>,
         main_us: f64,
@@ -404,6 +247,27 @@ impl SharedController {
             last_fraction_milli: AtomicU64::new(0),
             gauges: ControllerGauges::default(),
         }
+    }
+
+    /// A controller primed from the static cost model for `mode`: the
+    /// main path costs engine service plus, in Data Triage mode, the
+    /// kept-synopsis insert; a shed tuple costs the dropped-synopsis
+    /// insert whenever the mode keeps synopses. Both runtimes seed
+    /// their controllers here.
+    pub fn from_cost_model(
+        constraint: Option<DelayConstraint>,
+        cost: &CostModel,
+        mode: ShedMode,
+    ) -> Self {
+        let syn_us = cost.synopsis_insert_time.micros() as f64;
+        let main_us = cost.service_time.micros() as f64
+            + if mode == ShedMode::DataTriage {
+                syn_us
+            } else {
+                0.0
+            };
+        let triage_us = if mode.uses_synopses() { syn_us } else { 0.0 };
+        Self::with_constraint(constraint, main_us, triage_us)
     }
 
     /// Attach gauges; the current state is published immediately (so
@@ -480,12 +344,12 @@ impl SharedController {
         Self::ewma_fold(&self.triage_us_bits, us);
     }
 
-    /// A tuple entered the bounded channel.
+    /// A tuple joined the backlog this controller watches.
     pub fn on_enqueue(&self) {
         self.depth.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The worker pulled `n` tuples off the bounded channel.
+    /// `n` tuples left the backlog this controller watches.
     pub fn on_dequeue(&self, n: usize) {
         self.depth.fetch_sub(n as i64, Ordering::Relaxed);
     }
@@ -523,30 +387,22 @@ impl SharedController {
     /// for wrappers that make their own decisions).
     pub fn record_fraction(&self, f: f64) {
         self.last_fraction_milli
-            .store((f * 1000.0).round() as u64, Ordering::Relaxed);
+            .store(per_mille(f), Ordering::Relaxed);
         self.gauges.publish(&self.state());
     }
 
-    /// Decide one arriving tuple's fate from the current channel
-    /// depth, and publish the state to any attached gauges.
+    /// Decide one arriving tuple's fate from the current depth, and
+    /// publish the state to any attached gauges.
     pub fn decide(&self) -> ShedDecision {
-        let depth = self.depth.load(Ordering::Relaxed).max(0) as u64;
-        let threshold = self.threshold();
-        let f = ramp_fraction(depth, threshold, self.headroom);
-        self.last_fraction_milli
-            .store((f * 1000.0).round() as u64, Ordering::Relaxed);
+        let f = self.fraction();
+        let fm = per_mille(f);
+        self.last_fraction_milli.store(fm, Ordering::Relaxed);
         let decision = if f >= 1.0 {
             ShedDecision::Shed
         } else if f <= 0.0 {
             ShedDecision::Keep
         } else {
-            let fm = (f * 1000.0).round() as u64;
-            let prev = self.acc_milli.fetch_add(fm, Ordering::Relaxed);
-            if (prev % 1000) + fm >= 1000 {
-                ShedDecision::Shed
-            } else {
-                ShedDecision::Keep
-            }
+            diffuse(&self.acc_milli, fm)
         };
         let state = self.state();
         self.gauges.publish(&state);
@@ -776,19 +632,10 @@ impl FairController {
         } else if f <= 0.0 {
             ShedDecision::Keep
         } else {
+            // A lane fraction of 0 or 1000 leaves the accumulator's
+            // phase unchanged, so it keeps or sheds outright.
             let fm = lanes[li].shed_milli.load(Ordering::Relaxed);
-            if fm >= 1000 {
-                ShedDecision::Shed
-            } else if fm == 0 {
-                ShedDecision::Keep
-            } else {
-                let prev = lanes[li].acc_milli.fetch_add(fm, Ordering::Relaxed);
-                if (prev % 1000) + fm >= 1000 {
-                    ShedDecision::Shed
-                } else {
-                    ShedDecision::Keep
-                }
-            }
+            diffuse(&lanes[li].acc_milli, fm)
         };
         match decision {
             ShedDecision::Keep => lanes[li].kept.fetch_add(1, Ordering::Relaxed),
@@ -817,7 +664,7 @@ impl FairController {
         let total: f64 = rates.iter().sum();
         if total <= 0.0 {
             // No arrival history yet: apply the global fraction flat.
-            let fm = (f * 1000.0).round() as u64;
+            let fm = per_mille(f);
             for l in lanes {
                 l.shed_milli.store(fm, Ordering::Relaxed);
             }
@@ -848,10 +695,9 @@ impl FairController {
             } else {
                 1.0 - keep / rates[i]
             };
-            lanes[i].shed_milli.store(
-                (shed * 1000.0).round().clamp(0.0, 1000.0) as u64,
-                Ordering::Relaxed,
-            );
+            lanes[i]
+                .shed_milli
+                .store(per_mille(shed.clamp(0.0, 1.0)), Ordering::Relaxed);
         }
     }
 
@@ -894,26 +740,21 @@ mod tests {
         assert_eq!(d_ms(20).micros(), 20_000);
     }
 
-    #[test]
-    fn ewma_rejects_bad_alpha() {
-        assert!(Ewma::new(0.0).is_err());
-        assert!(Ewma::new(1.5).is_err());
-        assert!(Ewma::new(-0.1).is_err());
-        assert!(Ewma::new(1.0).is_ok());
+    /// A controller under `D = ms` milliseconds with the given seeds.
+    fn ctl(ms: u64, main_us: f64, triage_us: f64) -> SharedController {
+        SharedController::with_constraint(Some(d_ms(ms)), main_us, triage_us)
     }
 
-    #[test]
-    fn ewma_cold_start_adopts_first_sample() {
-        let mut e = Ewma::new(0.1).unwrap();
-        assert!(e.value().is_none());
-        assert_eq!(e.get_or(7.0), 7.0);
-        e.observe(42.0);
-        assert_eq!(e.value(), Some(42.0));
+    /// Report `n` more tuples of backlog.
+    fn fill(c: &SharedController, n: u64) {
+        for _ in 0..n {
+            c.on_enqueue();
+        }
     }
 
     #[test]
     fn drains_scale_the_threshold_and_delay_estimate() {
-        let c = SharedController::seeded(d_ms(10), 100.0, 5.0);
+        let c = ctl(10, 100.0, 5.0);
         let solo_threshold = c.threshold();
         let solo_state = c.state();
         assert_eq!(c.drains(), 1);
@@ -921,9 +762,7 @@ mod tests {
         // Declaring 4 drainers quarters the effective per-tuple cost:
         // the threshold roughly quadruples and, at a fixed depth, the
         // delay estimate quarters.
-        for _ in 0..40 {
-            c.on_enqueue();
-        }
+        fill(&c, 40);
         let at_one = c.state().estimated_delay;
         c.set_drains(4);
         assert_eq!(c.drains(), 4);
@@ -943,27 +782,44 @@ mod tests {
 
     #[test]
     fn ewma_converges_to_constant_input() {
-        let mut e = Ewma::seeded(0.2, 100.0).unwrap();
-        for _ in 0..200 {
-            e.observe(10.0);
+        let c = ctl(20, 100.0, 100.0);
+        for _ in 0..250 {
+            c.observe_main(10.0);
+            c.observe_triage(10.0);
         }
-        let v = e.value().unwrap();
-        assert!((v - 10.0).abs() < 1e-6, "{v}");
+        let s = c.state();
+        assert!((s.main_cost_us - 10.0).abs() < 1e-6, "{s:?}");
+        assert!((s.triage_cost_us - 10.0).abs() < 1e-6, "{s:?}");
     }
 
     #[test]
     fn ewma_step_response_is_geometric() {
         // After a step from 0 to 1, the residual error after k samples
         // is (1 - alpha)^k exactly.
-        let alpha = 0.25;
-        let mut e = Ewma::seeded(alpha, 0.0).unwrap();
+        let c = ctl(20, 0.0, 0.0);
         for k in 1..=20 {
-            e.observe(1.0);
-            let expected = 1.0 - (1.0 - alpha).powi(k);
-            assert!(
-                (e.value().unwrap() - expected).abs() < 1e-12,
-                "k={k}: {} vs {expected}",
-                e.value().unwrap()
+            c.observe_main(1.0);
+            let expected = 1.0 - (1.0 - DEFAULT_ALPHA).powi(k);
+            let got = c.state().main_cost_us;
+            assert!((got - expected).abs() < 1e-12, "k={k}: {got} vs {expected}");
+        }
+    }
+
+    #[test]
+    fn cost_model_seeds_follow_the_mode() {
+        let cost = CostModel::default();
+        let service = cost.service_time.micros() as f64;
+        let syn = cost.synopsis_insert_time.micros() as f64;
+        for (mode, main, triage) in [
+            (ShedMode::DataTriage, service + syn, syn),
+            (ShedMode::DropOnly, service, 0.0),
+            (ShedMode::SummarizeOnly, service, syn),
+        ] {
+            let s = SharedController::from_cost_model(Some(d_ms(20)), &cost, mode).state();
+            assert_eq!(
+                (s.main_cost_us, s.triage_cost_us),
+                (main, triage),
+                "{mode:?}"
             );
         }
     }
@@ -998,9 +854,13 @@ mod tests {
 
     #[test]
     fn cold_controller_keeps_everything() {
-        let mut c = LoadController::new(d_ms(10));
-        for depth in [0, 10, 1000, 1_000_000] {
-            assert_eq!(c.decide(depth), ShedDecision::Keep);
+        // A zero main-cost estimate leaves the threshold unbounded.
+        let c = ctl(10, 0.0, 0.0);
+        let mut depth = 0;
+        for next in [0, 10, 1000, 1_000_000] {
+            fill(&c, next - depth);
+            depth = next;
+            assert_eq!(c.decide(), ShedDecision::Keep);
         }
         assert_eq!(c.threshold(), u64::MAX);
     }
@@ -1008,39 +868,42 @@ mod tests {
     #[test]
     fn seeded_controller_sheds_above_threshold() {
         // D = 20 ms at 1 ms/tuple: threshold 19.
-        let mut c = LoadController::seeded(d_ms(20), 1_000.0, 0.0);
+        let c = ctl(20, 1_000.0, 0.0);
         assert_eq!(c.threshold(), 19);
-        assert_eq!(c.decide(0), ShedDecision::Keep);
-        assert_eq!(c.decide(19), ShedDecision::Shed);
-        assert_eq!(c.decide(100), ShedDecision::Shed);
+        assert_eq!(c.decide(), ShedDecision::Keep);
+        fill(&c, 19);
+        assert_eq!(c.decide(), ShedDecision::Shed);
+        fill(&c, 81);
+        assert_eq!(c.decide(), ShedDecision::Shed);
     }
 
     #[test]
     fn ramp_sheds_proportionally_inside_band() {
-        let mut c = LoadController::seeded(d_ms(100), 1_000.0, 0.0);
+        let c = ctl(100, 1_000.0, 0.0);
         let t = c.threshold(); // 98
-        let depth = t - 1; // inside the band, fraction in (0, 1)
-        let f = ramp_fraction(depth, t, DEFAULT_HEADROOM);
-        assert!(f > 0.0 && f < 1.0);
+        let floor = t - (t as f64 * DEFAULT_HEADROOM).ceil() as u64;
+        fill(&c, floor);
         let n = 1000usize;
-        let shed = (0..n)
-            .filter(|_| c.decide(depth as usize) == ShedDecision::Shed)
-            .count();
-        // Error diffusion: the realized fraction tracks f to within
-        // one decision.
-        let realized = shed as f64 / n as f64;
-        assert!(
-            (realized - f).abs() < 2.0 / n as f64,
-            "realized {realized} vs fraction {f}"
-        );
+        // Every depth inside the band sheds its ramp fraction, rounded
+        // to 1/1000, to within one decision (error diffusion).
+        for depth in floor..t {
+            let f = ramp_fraction(depth, t, DEFAULT_HEADROOM);
+            assert!(f > 0.0 && f < 1.0, "depth {depth}: {f}");
+            let shed = (0..n).filter(|_| c.decide() == ShedDecision::Shed).count();
+            let realized = shed as f64 / n as f64;
+            assert!(
+                (realized - f).abs() < 2.0 / n as f64 + 1e-3,
+                "depth {depth}: realized {realized} vs fraction {f}"
+            );
+            c.on_enqueue();
+        }
     }
 
     #[test]
     fn tighter_constraints_give_lower_thresholds() {
         let mut last = u64::MAX;
         for ms in [500, 100, 50, 20, 10, 5, 2] {
-            let c = LoadController::seeded(d_ms(ms), 1_000.0, 20.0);
-            let t = c.threshold();
+            let t = ctl(ms, 1_000.0, 20.0).threshold();
             assert!(t <= last, "D={ms}ms: threshold {t} > previous {last}");
             last = t;
         }
@@ -1048,7 +911,7 @@ mod tests {
 
     #[test]
     fn observations_move_the_threshold() {
-        let mut c = LoadController::seeded(d_ms(20), 1_000.0, 0.0);
+        let c = ctl(20, 1_000.0, 0.0);
         assert_eq!(c.threshold(), 19);
         // The engine turns out to be 2x slower than the model claimed.
         for _ in 0..500 {
@@ -1064,8 +927,9 @@ mod tests {
 
     #[test]
     fn state_reports_consistent_numbers() {
-        let mut c = LoadController::seeded(d_ms(20), 1_000.0, 50.0);
-        c.decide(10);
+        let c = ctl(20, 1_000.0, 50.0);
+        fill(&c, 10);
+        c.decide();
         let s = c.state();
         // floor((20000 - 50) / 1000) - 1 = 18.
         assert_eq!(s.threshold, 18);
@@ -1077,14 +941,12 @@ mod tests {
 
     #[test]
     fn shared_controller_matches_single_threaded_math() {
-        let c = SharedController::seeded(d_ms(20), 1_000.0, 0.0);
+        let c = ctl(20, 1_000.0, 0.0);
         assert_eq!(c.threshold(), 19);
         // Depth below the band: keep.
         assert_eq!(c.decide(), ShedDecision::Keep);
-        // Fill the channel past the threshold.
-        for _ in 0..25 {
-            c.on_enqueue();
-        }
+        // Fill the backlog past the threshold.
+        fill(&c, 25);
         assert_eq!(c.decide(), ShedDecision::Shed);
         c.on_dequeue(25);
         assert_eq!(c.decide(), ShedDecision::Keep);
@@ -1092,7 +954,7 @@ mod tests {
 
     #[test]
     fn shared_controller_ewma_and_penalty() {
-        let c = SharedController::seeded(d_ms(20), 1_000.0, 0.0);
+        let c = ctl(20, 1_000.0, 0.0);
         for _ in 0..500 {
             c.observe_main(2_000.0);
         }
@@ -1105,12 +967,10 @@ mod tests {
 
     #[test]
     fn shared_constraint_is_dynamic() {
-        let c = SharedController::unconstrained(1_000.0, 0.0);
+        let c = SharedController::with_constraint(None, 1_000.0, 0.0);
         assert_eq!(c.threshold(), u64::MAX);
         assert_eq!(c.constraint(), None);
-        for _ in 0..1_000_000 {
-            c.on_enqueue();
-        }
+        fill(&c, 1_000_000);
         assert_eq!(c.decide(), ShedDecision::Keep, "unconstrained never sheds");
         c.set_constraint(Some(d_ms(20)));
         assert_eq!(c.threshold(), 19);
@@ -1357,11 +1217,9 @@ mod tests {
 
     #[test]
     fn shared_ramp_error_diffusion_tracks_fraction() {
-        let c = SharedController::seeded(d_ms(100), 1_000.0, 0.0);
+        let c = ctl(100, 1_000.0, 0.0);
         let t = c.threshold();
-        for _ in 0..t - 1 {
-            c.on_enqueue();
-        }
+        fill(&c, t - 1);
         let f = ramp_fraction(t - 1, t, DEFAULT_HEADROOM);
         assert!(f > 0.0 && f < 1.0);
         let n = 1000usize;

@@ -7,7 +7,7 @@
 //!
 //! 1. **[`TriageQueue`]** (paper Fig. 1) — the bounded queue between
 //!    each data source and the query engine. When it overflows — or
-//!    when the adaptive [`LoadController`] says the backlog can no
+//!    when the adaptive [`SharedController`] says the backlog can no
 //!    longer drain within the delay constraint — a victim must go.
 //! 2. **[`DropPolicy`]** (§5.2.3) — chooses the victim: the incoming
 //!    tuple (`Newest`), the oldest (`Front`), a uniform pick
@@ -48,11 +48,13 @@
 //!   codebase: `DropOnly` (victims discarded, no synopses),
 //!   `SummarizeOnly` (queue bypassed, everything approximate), and
 //!   `DataTriage` (the full architecture).
-//! * [`LoadController`] / [`SharedController`] (§4–5, DESIGN.md §11)
-//!   — the *adaptive* part of "an adaptive architecture": a
-//!   [`DelayConstraint`] plus EWMA cost estimates yield the dynamic
-//!   triage threshold and a smooth shedding ramp, turning the fixed
-//!   queue bound into a latency contract.
+//! * [`SharedController`] (§4–5, DESIGN.md §11) — the *adaptive* part
+//!   of "an adaptive architecture": a [`DelayConstraint`] plus EWMA
+//!   cost estimates yield the dynamic triage threshold and a smooth
+//!   shedding ramp, turning the fixed queue bound into a latency
+//!   contract. Both runtimes drive this one controller; they differ
+//!   only in the backlog they report to it. [`FairController`] splits
+//!   a stream's shedding across tenant lanes.
 //!
 //! # Scaling a stream past one core
 //!
@@ -72,7 +74,6 @@ pub mod obs;
 pub mod pipeline;
 pub mod policy;
 pub mod queue;
-pub mod reorder;
 pub mod shard;
 pub mod shared;
 pub mod shed;
@@ -80,8 +81,8 @@ pub mod stream;
 mod winmap;
 
 pub use controller::{
-    ControllerState, DelayConstraint, Ewma, FairController, LaneSpec, LaneState, LoadController,
-    SharedController, ShedDecision, FAIR_EPOCH,
+    ControllerState, DelayConstraint, FairController, LaneSpec, LaneState, SharedController,
+    ShedDecision, FAIR_EPOCH,
 };
 pub use executor::{QueryClose, QueryExecutor, SharedStream, SynPair};
 pub use merge::{merge_window, MergedGroups};
@@ -89,7 +90,6 @@ pub use obs::{ControllerGauges, StreamObs, TriageObs};
 pub use pipeline::{Pipeline, PipelineConfig, RunReport, RunTotals, WindowPayload, WindowResult};
 pub use policy::DropPolicy;
 pub use queue::TriageQueue;
-pub use reorder::ReorderBuffer;
 pub use shard::{merge_sealed, ShardQueues, ShardRouter, ShardedStream};
 pub use shared::SharedPipeline;
 pub use shed::ShedMode;

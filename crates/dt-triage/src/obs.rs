@@ -79,7 +79,7 @@ impl TriageObs {
 }
 
 /// Gauges publishing one adaptive controller's state (see
-/// [`crate::LoadController`] / [`crate::SharedController`]). Default
+/// [`crate::SharedController`]). Default
 /// handles are disabled no-ops, so a controller can publish
 /// unconditionally; registration is opt-in per stream.
 #[derive(Debug, Clone, Default)]

@@ -53,7 +53,7 @@ pub struct PipelineConfig {
     /// Seed for every stochastic choice (drop victims, reservoirs).
     pub seed: u64,
     /// Optional per-query delay constraint. When set (and the mode
-    /// uses the engine), a [`crate::LoadController`] per stream
+    /// uses the engine), a [`crate::SharedController`] per stream
     /// derives a dynamic triage threshold from the constraint and the
     /// EWMA-estimated per-tuple costs, shedding *before* the fixed
     /// queue capacity is reached so windows seal within the

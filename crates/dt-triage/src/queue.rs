@@ -123,7 +123,7 @@ impl TriageQueue {
     }
 
     /// Shed by policy *now*, regardless of occupancy — the adaptive
-    /// controller's path ([`crate::LoadController`]): the drop policy
+    /// controller's path ([`crate::SharedController`]): the drop policy
     /// picks a victim among the buffered tuples plus the incoming one
     /// (the `Newest` policy, or an empty queue, sheds the incoming
     /// tuple itself), the incoming tuple takes the victim's place, and

@@ -20,7 +20,7 @@
 //!
 //! The pipeline is a driver over state it owns: per-stream
 //! [`TriageQueue`]s, the virtual engine clock, the optional
-//! [`LoadController`]s, and one [`StreamTriage`] per stream. Kept
+//! [`SharedController`]s, and one [`StreamTriage`] per stream. Kept
 //! tuples go to [`StreamTriage::keep_owned`] as the engine drains
 //! them and victims to [`StreamTriage::shed`]; a window closes once
 //! no arrival or queued tuple can still reach it, by sealing it on
@@ -38,7 +38,7 @@ use dt_types::{ColumnBatch, DtError, DtResult, Timestamp, Tuple, WindowId, Windo
 
 use dt_obs::MetricsRegistry;
 
-use crate::controller::{LoadController, ShedDecision};
+use crate::controller::{SharedController, ShedDecision};
 use crate::executor::{QueryExecutor, SynPair};
 use crate::obs::{ControllerGauges, TriageObs};
 use crate::pipeline::{PipelineConfig, RunReport, RunTotals, WindowResult};
@@ -72,7 +72,9 @@ pub struct SharedPipeline {
     /// Per-stream adaptive controllers, present only when the config
     /// carries a [`crate::DelayConstraint`] and the mode drives the
     /// engine. `None` keeps the fixed-capacity shed signal untouched.
-    controllers: Option<Vec<LoadController>>,
+    /// The one engine drains every queue, so each controller is fed
+    /// the *total* backlog (see [`Self::backlog_changed`]).
+    controllers: Option<Vec<SharedController>>,
 }
 
 impl SharedPipeline {
@@ -108,20 +110,8 @@ impl SharedPipeline {
         // cost EWMAs primed from the static cost model (DESIGN.md
         // §11) so the threshold is sensible before any measurement.
         let controllers = cfg.delay.filter(|_| cfg.mode.uses_engine()).map(|d| {
-            let syn_us = cfg.cost.synopsis_insert_time.micros() as f64;
-            let main_us = cfg.cost.service_time.micros() as f64
-                + if cfg.mode == ShedMode::DataTriage {
-                    syn_us
-                } else {
-                    0.0
-                };
-            let triage_us = if cfg.mode.uses_synopses() {
-                syn_us
-            } else {
-                0.0
-            };
             (0..n)
-                .map(|_| LoadController::seeded(d, main_us, triage_us))
+                .map(|_| SharedController::from_cost_model(Some(d), &cfg.cost, cfg.mode))
                 .collect()
         });
         let triages = exec
@@ -163,13 +153,12 @@ impl SharedPipeline {
             .zip(&names)
             .map(|(t, name)| t.with_metrics(reg, name))
             .collect();
-        if let Some(ctls) = self.controllers.as_mut() {
-            for (ctl, name) in ctls.iter_mut().zip(&names) {
-                *ctl = ctl
-                    .clone()
-                    .with_gauges(ControllerGauges::register(reg, name));
-            }
-        }
+        self.controllers = self.controllers.take().map(|ctls| {
+            ctls.into_iter()
+                .zip(&names)
+                .map(|(ctl, name)| ctl.with_gauges(ControllerGauges::register(reg, name)))
+                .collect()
+        });
         self.exec = self.exec.with_metrics(reg);
         self
     }
@@ -236,7 +225,7 @@ impl SharedPipeline {
             self.triages[stream].shed(&v)?;
             self.totals.dropped += 1;
             if self.cfg.mode == ShedMode::DataTriage {
-                if let Some(ctls) = self.controllers.as_mut() {
+                if let Some(ctls) = &self.controllers {
                     ctls[stream].observe_triage(self.cfg.cost.synopsis_insert_time.micros() as f64);
                 }
             }
@@ -268,23 +257,33 @@ impl SharedPipeline {
         // The adaptive controller may demand a shed *before* the queue
         // is full, so the backlog stays drainable within the delay
         // constraint; without a controller (or while its verdict is
-        // Keep) the fixed capacity remains the only shed signal. The
-        // engine is shared by every physical stream, so the depth that
-        // predicts drain time is the *total* backlog, not this
-        // stream's queue alone.
-        let forced = match self.controllers.as_mut() {
-            Some(ctls) => {
-                let depth = self.queues.iter().map(TriageQueue::len).sum();
-                ctls[stream].decide(depth) == ShedDecision::Shed
-            }
-            None => false,
-        };
+        // Keep) the fixed capacity remains the only shed signal.
+        let forced = self
+            .controllers
+            .as_ref()
+            .is_some_and(|ctls| ctls[stream].decide() == ShedDecision::Shed);
         let queue = &mut self.queues[stream];
-        Ok(if forced {
+        let victim = if forced {
             Some(queue.shed(tuple, dropped_syn))
         } else {
             queue.push(tuple, dropped_syn)
-        })
+        };
+        // A shed or an overflow swaps one tuple for another; only a
+        // clean push grows the backlog.
+        if victim.is_none() {
+            self.backlog_changed(SharedController::on_enqueue);
+        }
+        Ok(victim)
+    }
+
+    /// Report a change of the total backlog to every stream's
+    /// controller. The engine is shared by every physical stream, so
+    /// the depth that predicts a new arrival's drain time is the sum
+    /// of all triage queues, not its own stream's queue alone.
+    fn backlog_changed(&self, report: impl Fn(&SharedController)) {
+        if let Some(ctls) = &self.controllers {
+            ctls.iter().for_each(report);
+        }
     }
 
     /// Drain queues and close every remaining window; returns one
@@ -330,7 +329,8 @@ impl SharedPipeline {
                 busy += self.cfg.cost.synopsis_insert_time;
             }
             self.engine_free_at = start + busy;
-            if let Some(ctls) = self.controllers.as_mut() {
+            self.backlog_changed(|c| c.on_dequeue(1));
+            if let Some(ctls) = &self.controllers {
                 // The virtual engine's per-tuple cost is exactly
                 // `busy`; feeding it keeps the EWMA honest if the
                 // config's cost model is ever made time-varying.

@@ -109,3 +109,54 @@ fn constrained_runs_never_miss_a_deadline_by_more_than_one_tick() {
         assert!(report.windows.iter().all(|w| w.groups().is_some()));
     }
 }
+
+/// A join over two streams, each arriving at the engine's full rate:
+/// one tuple every 1 ms per stream, interleaved 500 µs apart, against
+/// a ~1 ms/tuple engine that drains both queues.
+fn two_stream_run(delay_ms: u64) -> RunReport {
+    let mut catalog = Catalog::new();
+    catalog.add_stream("R", Schema::from_pairs(&[("a", DataType::Int)]));
+    catalog.add_stream("S", Schema::from_pairs(&[("b", DataType::Int)]));
+    let plan = Planner::new(&catalog)
+        .plan(&parse_select("SELECT a, COUNT(*) FROM R, S WHERE R.a = S.b GROUP BY a").unwrap())
+        .unwrap();
+    let mut cfg = PipelineConfig::new(ShedMode::DataTriage);
+    cfg.seed = 42;
+    // Far above any backlog the run builds: only the controller sheds.
+    cfg.queue_capacity = 1_000_000;
+    cfg.delay = Some(DelayConstraint::from_millis(delay_ms).unwrap());
+    let arrivals = (0..6_000u64).map(|i| {
+        (
+            (i % 2) as usize,
+            Tuple::new(
+                Row::from_ints(&[(i / 2 % 10) as i64]),
+                Timestamp::from_micros(500 * (i + 1)),
+            ),
+        )
+    });
+    Pipeline::run(plan, cfg, arrivals).unwrap()
+}
+
+#[test]
+fn two_streams_shed_on_their_total_backlog() {
+    // Under D = 40 ms the threshold is T = 38 tuples. The controller
+    // holds the *total* backlog near T, so each stream's own queue
+    // stays near T/2, below even the ramp's floor. A controller fed
+    // only its own queue's depth would let each queue grow to T and
+    // the total backlog, hence the window latency, to about 2·D.
+    let ms = 40;
+    let report = two_stream_run(ms);
+    assert!(report.totals.dropped > 0, "the controller must shed");
+    let cfg = PipelineConfig::new(ShedMode::DataTriage);
+    let tick_us = (cfg.cost.service_time + cfg.cost.synopsis_insert_time).micros();
+    let deadline_us = ms * 1_000 + tick_us;
+    assert!(!report.windows.is_empty());
+    for w in &report.windows {
+        let lat = w.latency(report.window_spec).micros();
+        assert!(
+            lat <= deadline_us,
+            "window {} sealed {lat} µs late (deadline {deadline_us} µs)",
+            w.window
+        );
+    }
+}

@@ -1,12 +1,10 @@
-//! Sliding-window monitoring of an out-of-order sensor feed.
+//! Sliding-window monitoring of a bursty sensor feed.
 //!
 //! Combines the reproduction's TelegraphCQ-style extensions:
 //!
 //! * a **hopping window** (`WINDOW readings['2 seconds', '500
 //!   milliseconds']`) — each reading contributes to four overlapping
 //!   windows, giving a smooth moving view;
-//! * a [`ReorderBuffer`] absorbing network jitter (readings arrive up
-//!   to 20 ms out of order);
 //! * the **adaptive** memory-bounded synopsis, so a burst cannot blow
 //!   up synopsis memory;
 //! * HAVING over *merged* aggregates: alert groups only count when
@@ -17,7 +15,6 @@
 //! ```
 
 use datatriage::prelude::*;
-use datatriage::triage::ReorderBuffer;
 
 fn main() -> DtResult<()> {
     let mut catalog = Catalog::new();
@@ -42,7 +39,7 @@ fn main() -> DtResult<()> {
     cfg.seed = 99;
     let mut pipeline = Pipeline::new(plan, cfg)?;
 
-    // A bursty feed whose tuples arrive with up to 20 ms of jitter.
+    // A bursty feed of readings from six sensors.
     let workload = WorkloadConfig {
         streams: vec![StreamSpec {
             arity: 2,
@@ -64,40 +61,20 @@ fn main() -> DtResult<()> {
         seed: 99,
     };
     let mut arrivals = generate(&workload)?;
-    // Assign sensor ids and jitter the delivery order deterministically.
+    // Assign sensor ids round-robin.
     for (i, (_, t)) in arrivals.iter_mut().enumerate() {
         let sensor = (i % 6) as i64 + 1;
         let level = t.row[1].clone();
         t.row = Row::new(vec![Value::Int(sensor), level]);
     }
-    let mut jittered = arrivals.clone();
-    for i in (3..jittered.len()).step_by(4) {
-        jittered.swap(i - 3, i); // out-of-order by up to 3 positions
-    }
-
-    let mut reorder = ReorderBuffer::new(VDuration::from_millis(20));
-    let mut fed = 0u64;
-    for (stream, tuple) in jittered {
-        match reorder.offer(stream, tuple) {
-            Ok(ready) => {
-                for (s, t) in ready {
-                    pipeline.offer(s, t)?;
-                    fed += 1;
-                }
-            }
-            Err(_) => { /* too late even for the bound; shed at ingress */ }
-        }
-    }
-    for (s, t) in reorder.drain() {
-        pipeline.offer(s, t)?;
-        fed += 1;
+    for (stream, tuple) in arrivals {
+        pipeline.offer(stream, tuple)?;
     }
     let report = pipeline.finish()?;
 
     println!(
-        "fed {fed} readings ({} rejected as too-late), shed {} ({:.1}%), \
-         peak synopsis memory {} cells",
-        reorder.late_dropped(),
+        "fed {} readings, shed {} ({:.1}%), peak synopsis memory {} cells",
+        report.totals.arrived,
         report.totals.dropped,
         100.0 * report.totals.dropped as f64 / report.totals.arrived.max(1) as f64,
         report.totals.peak_synopsis_units,
