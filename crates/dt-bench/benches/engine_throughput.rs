@@ -1,15 +1,18 @@
 //! Engine and pipeline throughput: exact window execution at several
-//! window sizes, and the full pipeline per shedding mode on one
+//! window sizes, the registry's close of the fanout-ingest query set
+//! over one window, and the full pipeline per shedding mode on one
 //! fixed workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dt_engine::{execute_window, execute_window_cols, CostModel};
 use dt_metrics::{report_to_map, SweepConfig};
+use dt_obs::MetricsRegistry;
 use dt_query::{parse_select, Catalog, Planner, QueryPlan};
+use dt_registry::{QueryRegistry, QuerySpec, RegistryConfig, WindowInputs};
 use dt_synopsis::SynopsisConfig;
-use dt_triage::{Pipeline, PipelineConfig, ShedMode};
-use dt_types::{ColumnBatch, DataType, Row, Schema};
-use dt_workload::{generate, WorkloadConfig};
+use dt_triage::{Pipeline, PipelineConfig, ShedMode, SynPair};
+use dt_types::{ColumnBatch, DataType, Row, Schema, VDuration, WindowSpec};
+use dt_workload::{generate, ArrivalModel, Gaussian, StreamSpec, WorkloadConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -72,6 +75,72 @@ fn bench_window_exec(c: &mut Criterion) {
     group.finish();
 }
 
+/// The e2e benchmark's fanout-ingest close, without the server: its
+/// 16 single-stream aggregates over `R(a, b)`, registered in one
+/// [`QueryRegistry`], each closing one 10k-row window together with
+/// the stream's sealed sparse kept/dropped synopses (nothing shed).
+fn bench_window_exec_fanout(c: &mut Criterion) {
+    let mut catalog = Catalog::new();
+    catalog.add_stream(
+        "R",
+        Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Int)]),
+    );
+    let reg = QueryRegistry::new(
+        RegistryConfig {
+            catalog,
+            mode: ShedMode::DataTriage,
+            spec: WindowSpec::new(VDuration::from_millis(100)).unwrap(),
+            override_windows: true,
+        },
+        MetricsRegistry::disabled(),
+    )
+    .unwrap();
+    for k in 0..8 {
+        let cut = 20 + 5 * k;
+        for sql in [
+            format!("SELECT a, COUNT(*) FROM R WHERE b > {cut} GROUP BY a"),
+            format!("SELECT a, SUM(b) FROM R WHERE b < {} GROUP BY a", cut + 40),
+        ] {
+            reg.register(QuerySpec::new(&sql)).unwrap();
+        }
+    }
+    let rows: Vec<Row> = generate(&WorkloadConfig {
+        streams: vec![StreamSpec::uniform_bursts(2, Gaussian::paper_default())],
+        arrival: ArrivalModel::Constant { rate: 100_000.0 },
+        total_tuples: 10_000,
+        seed: 7,
+    })
+    .unwrap()
+    .into_iter()
+    .map(|(_, t)| t.row)
+    .collect();
+    let synopsis = SynopsisConfig::default_sparse();
+    let mut pair = SynPair {
+        kept: synopsis.build(2).unwrap(),
+        dropped: synopsis.build(2).unwrap(),
+    };
+    for r in &rows {
+        let point: Vec<i64> = r.values().iter().map(|v| v.as_i64().unwrap()).collect();
+        pair.kept.insert(&point).unwrap();
+    }
+    pair.kept.seal();
+    pair.dropped.seal();
+    let (kept, pairs, counts) = ([rows], [pair], [(10_000u64, 0u64)]);
+    let close = || {
+        let inputs = WindowInputs {
+            rows: &kept,
+            pairs: Some(&pairs),
+            counts: &counts,
+        };
+        reg.close_window(0, inputs).unwrap().len()
+    };
+    assert_eq!(close(), 16, "every query closes the window");
+    let mut group = c.benchmark_group("window_exec_fanout");
+    group.sample_size(10);
+    group.bench_function("16_queries/10k_rows", |b| b.iter(close));
+    group.finish();
+}
+
 fn bench_pipeline_modes(c: &mut Criterion) {
     let workload = WorkloadConfig::paper_constant(4_000.0, 8_000, 5);
     let arrivals = generate(&workload).unwrap();
@@ -93,5 +162,10 @@ fn bench_pipeline_modes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_window_exec, bench_pipeline_modes);
+criterion_group!(
+    benches,
+    bench_window_exec,
+    bench_window_exec_fanout,
+    bench_pipeline_modes
+);
 criterion_main!(benches);

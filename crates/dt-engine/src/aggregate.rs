@@ -1,9 +1,8 @@
-//! Aggregate accumulators, and the mergeable per-shard GROUP BY
-//! arena that lets a worker group aggregate a partitioned window in
-//! parallel (DESIGN.md §15).
+//! Aggregate accumulators: one [`AggState`] per (group, aggregate)
+//! that the window executors fold rows into.
 
 use dt_query::{AggSpec, Aggregate};
-use dt_types::{DtError, DtResult, FxHashMap, Row, Value};
+use dt_types::{Row, Value};
 
 /// Incremental state for one aggregate over one group.
 #[derive(Debug, Clone)]
@@ -69,26 +68,6 @@ impl AggState {
         self.count
     }
 
-    /// Absorb another accumulator for the *same* aggregate spec —
-    /// the fan-in half of sharded GROUP BY (DESIGN.md §15): each
-    /// shard folds its partition into a private state, and the seal
-    /// merges the partials. All five aggregates are algebraic, so
-    /// count/sum/min/max combine losslessly; `AVG` re-derives from
-    /// the merged sum and count at [`AggState::finish`] time.
-    ///
-    /// Float addition is not associative, so `SUM`/`AVG` over
-    /// non-integer inputs can differ from a single-threaded fold in
-    /// the last ulp; merge order must therefore be deterministic
-    /// (ascending shard id) for reproducible output.
-    pub fn merge_from(&mut self, other: &AggState) {
-        debug_assert_eq!(self.func, other.func);
-        debug_assert_eq!(self.arg, other.arg);
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Finish into the aggregate's numeric value.
     ///
     /// Empty-input conventions: `COUNT` → 0; `SUM` → 0; `AVG`/`MIN`/
@@ -120,105 +99,6 @@ impl AggState {
                 }
             }
         }
-    }
-}
-
-/// A per-shard GROUP BY arena: each worker in a stream's group folds
-/// its partition of a window into a private `GroupArena`, and the
-/// seal merges the partials key-by-key ([`GroupArena::merge_from`])
-/// before finishing — the fan-in half of sharded aggregation
-/// (DESIGN.md §15).
-///
-/// Group states live in a dense vector (insertion-ordered, like the
-/// columnar executor's arena) with a hash index from group key to
-/// slot, so the per-row hot path is one hash probe and the merge is
-/// a linear walk of the smaller side.
-#[derive(Debug, Clone)]
-pub struct GroupArena {
-    specs: Vec<AggSpec>,
-    slots: FxHashMap<Row, u32>,
-    groups: Vec<(Row, Vec<AggState>)>,
-}
-
-impl GroupArena {
-    /// An empty arena for the plan's aggregate list.
-    pub fn new(specs: &[AggSpec]) -> Self {
-        GroupArena {
-            specs: specs.to_vec(),
-            slots: FxHashMap::default(),
-            groups: Vec::new(),
-        }
-    }
-
-    /// Number of distinct groups seen so far.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Whether no group has been touched yet.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Fold one row into its group's accumulators, creating the
-    /// group on first sight. The whole row is passed; each aggregate
-    /// fetches its own argument column.
-    pub fn update(&mut self, key: Row, row: &Row) {
-        let slot = match self.slots.get(&key) {
-            Some(&s) => s,
-            None => {
-                let s = self.groups.len() as u32;
-                let states = self.specs.iter().map(AggState::new).collect();
-                self.groups.push((key.clone(), states));
-                self.slots.insert(key, s);
-                s
-            }
-        };
-        for st in &mut self.groups[slot as usize].1 {
-            st.update(row);
-        }
-    }
-
-    /// Absorb another shard's partial arena. Groups present in both
-    /// merge state-by-state ([`AggState::merge_from`]); groups only
-    /// the other shard saw are appended. Errors if the two arenas
-    /// were built for different aggregate lists.
-    ///
-    /// Callers must merge in ascending shard order: merging is
-    /// commutative for count/min/max but float `SUM`/`AVG` partials
-    /// combine with order-dependent rounding, so a fixed order keeps
-    /// sealed windows reproducible.
-    pub fn merge_from(&mut self, other: &GroupArena) -> DtResult<()> {
-        if self.specs != other.specs {
-            return Err(DtError::engine(
-                "cannot merge GROUP BY arenas built for different aggregate lists",
-            ));
-        }
-        for (key, states) in &other.groups {
-            match self.slots.get(key) {
-                Some(&s) => {
-                    for (mine, theirs) in self.groups[s as usize].1.iter_mut().zip(states) {
-                        mine.merge_from(theirs);
-                    }
-                }
-                None => {
-                    let s = self.groups.len() as u32;
-                    self.groups.push((key.clone(), states.clone()));
-                    self.slots.insert(key.clone(), s);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Finish every group into `(key, finished values)` pairs, sorted
-    /// by group key for deterministic output order.
-    pub fn finish(mut self) -> Vec<(Row, Vec<f64>)> {
-        self.groups.sort_by(|(a, _), (b, _)| a.cmp(b));
-        self.groups
-            .into_iter()
-            .map(|(k, states)| (k, states.iter().map(AggState::finish).collect()))
-            .collect()
     }
 }
 
@@ -281,75 +161,6 @@ mod tests {
         assert!(AggState::new(&spec(Aggregate::Max, Some(0)))
             .finish()
             .is_nan());
-    }
-
-    #[test]
-    fn merged_states_match_a_single_fold() {
-        for func in [
-            Aggregate::Count,
-            Aggregate::Sum,
-            Aggregate::Avg,
-            Aggregate::Min,
-            Aggregate::Max,
-        ] {
-            let sp = spec(func, Some(0));
-            let vals: Vec<i64> = (0..30).map(|i| (i * 7) % 13 - 3).collect();
-            let mut whole = AggState::new(&sp);
-            for &v in &vals {
-                whole.update(&Row::from_ints(&[v]));
-            }
-            // Partition into three skewed shards and merge the partials.
-            let mut parts: Vec<AggState> = (0..3).map(|_| AggState::new(&sp)).collect();
-            for (i, &v) in vals.iter().enumerate() {
-                let shard = if i < 20 { 0 } else { 1 + i % 2 };
-                parts[shard].update(&Row::from_ints(&[v]));
-            }
-            let mut merged = AggState::new(&sp);
-            for p in &parts {
-                merged.merge_from(p);
-            }
-            assert_eq!(merged.finish(), whole.finish(), "{func:?}");
-            assert_eq!(merged.contributors(), whole.contributors(), "{func:?}");
-        }
-    }
-
-    #[test]
-    fn sharded_arena_matches_global_aggregation() {
-        let specs = vec![
-            spec(Aggregate::Count, None),
-            spec(Aggregate::Sum, Some(1)),
-            spec(Aggregate::Min, Some(1)),
-            spec(Aggregate::Max, Some(1)),
-            spec(Aggregate::Avg, Some(1)),
-        ];
-        let rows: Vec<Row> = (0..200)
-            .map(|i| Row::from_ints(&[i % 7, (i * 2_654_435_761) % 100 - 50]))
-            .collect();
-
-        let mut global = GroupArena::new(&specs);
-        for r in &rows {
-            global.update(Row::new(vec![r.0[0].clone()]), r);
-        }
-
-        // Partition by an unrelated hash of the row index (so group
-        // keys straddle shards), fold per shard, merge in shard order.
-        let mut shards: Vec<GroupArena> = (0..4).map(|_| GroupArena::new(&specs)).collect();
-        for (i, r) in rows.iter().enumerate() {
-            shards[(i * 11) % 4].update(Row::new(vec![r.0[0].clone()]), r);
-        }
-        let mut merged = GroupArena::new(&specs);
-        for s in &shards {
-            merged.merge_from(s).unwrap();
-        }
-        assert_eq!(merged.len(), global.len());
-        assert_eq!(merged.finish(), global.finish());
-    }
-
-    #[test]
-    fn arena_merge_rejects_mismatched_specs() {
-        let a = GroupArena::new(&[spec(Aggregate::Count, None)]);
-        let mut b = GroupArena::new(&[spec(Aggregate::Sum, Some(0))]);
-        assert!(b.merge_from(&a).is_err());
     }
 
     #[test]

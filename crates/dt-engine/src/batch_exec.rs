@@ -4,20 +4,23 @@
 //! plans as [`crate::exec::execute_window_rows`], but over
 //! [`ColumnBatch`] inputs:
 //!
-//! * residual predicates that touch a single stream become a
-//!   predicate-over-column pass producing a **selection vector** per
-//!   stream (evaluated once per input row, not once per join result);
+//! * residual predicates that touch a single stream become one pass
+//!   each that compacts that stream's **selection vector** (evaluated
+//!   once per input row, not once per join result); an unmasked `Int`
+//!   column against an `Int` literal is a typed loop;
 //! * join-step hash indexes key contiguous `i64` columns with FxHash
 //!   (`i64` keys instead of `Value` keys, built over the filtered
 //!   selection);
-//! * aggregate updates read typed column slices directly.
+//! * a single-stream plan grouped by one `Int` column or by none runs
+//!   column at a time: one pass assigns each selected row its group
+//!   slot, then each aggregate folds its typed argument column.
 //!
 //! The executor is bit-identical to the row path by construction: it
 //! enumerates join results in exactly the row path's driver order
 //! (depth-first, input order within each key), applies predicates with
-//! the same NULL/`numeric_cmp` semantics, and feeds group maps in the
-//! same sequence — so hash-map capacity growth, iteration order, and
-//! float accumulation order all match. Plan or column shapes the
+//! the same NULL/`numeric_cmp` semantics, and folds each group's
+//! accumulators in the same sequence — so group order and float
+//! accumulation order match. Plan or column shapes the
 //! vectorized kernels do not support (string or mixed-typed predicate
 //! and join columns, float join keys) fall back to the row path on
 //! reconstructed rows, which is trivially identical.
@@ -156,6 +159,49 @@ impl CPred<'_> {
             None => false,
         }
     }
+}
+
+/// Compact the selection `sel` to the rows that pass `p` (one pass per
+/// predicate; conjuncts compose by successive compaction). An `Int`
+/// column with no NULL mask against an `Int` literal — on either side,
+/// via [`CmpOp::flipped`] — runs a typed loop with the operator matched
+/// once per pass; every other operand pair evaluates [`CPred::eval`].
+fn filter_pass(sel: &mut Vec<u32>, p: &CPred) {
+    let typed = match (&p.left, &p.right) {
+        (
+            COperand::Col {
+                kind: NumColKind::Int(v, None),
+                ..
+            },
+            &COperand::Lit(NumVal::I(k)),
+        ) => Some((*v, p.op, k)),
+        (
+            &COperand::Lit(NumVal::I(k)),
+            COperand::Col {
+                kind: NumColKind::Int(v, None),
+                ..
+            },
+        ) => Some((*v, p.op.flipped(), k)),
+        _ => None,
+    };
+    let Some((v, op, k)) = typed else {
+        sel.retain(|&r| p.eval(|_| r));
+        return;
+    };
+    match op {
+        CmpOp::Eq => retain_int(sel, v, |a| a == k),
+        CmpOp::Neq => retain_int(sel, v, |a| a != k),
+        CmpOp::Lt => retain_int(sel, v, |a| a < k),
+        CmpOp::Le => retain_int(sel, v, |a| a <= k),
+        CmpOp::Gt => retain_int(sel, v, |a| a > k),
+        CmpOp::Ge => retain_int(sel, v, |a| a >= k),
+    }
+}
+
+/// The typed loop of [`filter_pass`], monomorphized per operator.
+#[inline]
+fn retain_int(sel: &mut Vec<u32>, v: &[i64], keep: impl Fn(i64) -> bool) {
+    sel.retain(|&r| keep(v[r as usize]));
 }
 
 /// Classification of one residual predicate.
@@ -423,19 +469,19 @@ fn try_execute(plan: &QueryPlan, inputs: &[&ColumnBatch]) -> Option<WindowOutput
             PredCompile::Emit(pred) => emit_preds.push(pred),
         }
     }
-    // Selection vectors: one predicate-over-column pass per stream.
+    // Selection vectors: one compacting pass per local predicate.
     let sels: Vec<Vec<u32>> = inputs
         .iter()
         .enumerate()
         .map(|(s, batch)| {
-            let len = batch.len() as u32;
-            if local[s].is_empty() {
-                (0..len).collect()
-            } else {
-                (0..len)
-                    .filter(|&r| local[s].iter().all(|p| p.eval(|_| r)))
-                    .collect()
+            if never {
+                return Vec::new();
             }
+            let mut sel: Vec<u32> = (0..batch.len() as u32).collect();
+            for p in &local[s] {
+                filter_pass(&mut sel, p);
+            }
+            sel
         })
         .collect();
     // Join-step indexes over the filtered selections.
@@ -467,31 +513,45 @@ fn try_execute(plan: &QueryPlan, inputs: &[&ColumnBatch]) -> Option<WindowOutput
                 },
             })
             .collect();
-        // Single integer GROUP BY column — the paper-query shape and
-        // the hot case: group on the raw `i64` key with no per-result
-        // `Value` materialization or enum hashing. The Row-keyed
-        // output map is rebuilt at the end; per-group update order
-        // (and with it every accumulated bit) is unchanged.
+        let n_aggs = plan.aggregates.len();
+        let fresh = || plan.aggregates.iter().map(AggState::new);
+        // Single stream, grouped by one integer column or by none:
+        // column at a time (see `fold_single_stream`).
+        if n_streams == 1 {
+            let key_col = match group_cols[..] {
+                [] => Some(None),
+                [(_, gc)] => int_key_col(inputs, 0, gc).map(Some),
+                _ => None,
+            };
+            if let Some(key_col) = key_col {
+                return Some(fold_single_stream(
+                    plan, inputs, &sels[0], key_col, &fetches,
+                ));
+            }
+        }
+        // Single integer GROUP BY column over a join — the paper-query
+        // shape: group on the raw `i64` key with no per-result `Value`
+        // materialization or enum hashing. Per-group update order (and
+        // with it every accumulated bit) is the driver order.
         if let [(gs, gc)] = group_cols[..] {
-            // Count-only refinement: with no emit predicates and only
-            // argument-less aggregates (`COUNT(*)`), the last join
-            // level's matches all land in the group chosen by the
-            // outer streams (`gs` is not the last stream), so the
-            // innermost enumeration collapses to adding the match
-            // count. A group still only exists once it receives a
-            // match (`m > 0`), exactly as in per-row emission.
-            if emit_preds.is_empty()
-                && n_streams >= 2
-                && gs < n_streams - 1
-                && plan.aggregates.iter().all(|a| a.arg.is_none())
-            {
-                if let Some(key_col) = int_key_col(inputs, gs, gc) {
+            if let Some(key_col) = int_key_col(inputs, gs, gc) {
+                let mut slots = GroupSlots::default();
+                // Count-only refinement: with no emit predicates and
+                // only argument-less aggregates (`COUNT(*)`), the last
+                // join level's matches all land in the group chosen by
+                // the outer streams (`gs` is not the last stream), so
+                // the innermost enumeration collapses to adding the
+                // match count. A group still only exists once it
+                // receives a match (`m > 0`), exactly as in per-row
+                // emission.
+                if emit_preds.is_empty()
+                    && gs < n_streams - 1
+                    && plan.aggregates.iter().all(|a| a.arg.is_none())
+                {
                     let (last, head) = csteps.split_last().expect("n_streams >= 2");
                     let last_sel_len = sels[n_streams - 1].len() as u64;
-                    let mut slots: FxHashMap<i64, u32> = FxHashMap::default();
-                    let mut null_slot: Option<u32> = None;
-                    let mut groups: Vec<(Option<i64>, u64)> = Vec::new();
-                    run_driver(head, &sels, n_streams, never, |cur| {
+                    let mut counts: Vec<u64> = Vec::new();
+                    run_driver(head, &sels, n_streams, |cur| {
                         let m = match last {
                             CStep::Cross => last_sel_len,
                             CStep::Single { left, ranges, .. } => left
@@ -509,83 +569,38 @@ fn try_execute(plan: &QueryPlan, inputs: &[&ColumnBatch]) -> Option<WindowOutput
                         if m == 0 {
                             return;
                         }
-                        let slot = match key_col.get(cur[gs]) {
-                            Some(k) => *slots.entry(k).or_insert_with(|| {
-                                groups.push((Some(k), 0));
-                                (groups.len() - 1) as u32
-                            }),
-                            None => *null_slot.get_or_insert_with(|| {
-                                groups.push((None, 0));
-                                (groups.len() - 1) as u32
-                            }),
-                        };
-                        groups[slot as usize].1 += m;
+                        let slot = slots.slot(key_col.get(cur[gs])) as usize;
+                        if slot == counts.len() {
+                            counts.push(0);
+                        }
+                        counts[slot] += m;
                     });
-                    let finished: FxHashMap<Row, Vec<AggValue>> = groups
-                        .into_iter()
-                        .map(|(k, c)| {
-                            (
-                                Row::new(vec![k.map(Value::Int).unwrap_or(Value::Null)]),
-                                vec![
-                                    AggValue {
-                                        value: c as f64,
-                                        n: c,
-                                    };
-                                    plan.aggregates.len()
-                                ],
-                            )
-                        })
+                    let finished: FxHashMap<Row, Vec<AggValue>> = slots
+                        .into_key_rows()
+                        .zip(counts)
+                        .map(|(k, n)| (k, vec![AggValue { value: n as f64, n }; n_aggs]))
                         .collect();
                     return Some(WindowOutput::Groups(finished));
                 }
-            }
-            if let Some(key_col) = int_key_col(inputs, gs, gc) {
-                let mut slots: FxHashMap<i64, u32> = FxHashMap::default();
-                let mut null_slot: Option<u32> = None;
-                let mut arena: Vec<(Option<i64>, Vec<AggState>)> = Vec::new();
-                run_driver(&csteps, &sels, n_streams, never, |cur| {
+                let mut states: Vec<AggState> = Vec::new();
+                run_driver(&csteps, &sels, n_streams, |cur| {
                     if !emit_preds.iter().all(|p| p.eval(|s| cur[s])) {
                         return;
                     }
-                    let slot = match key_col.get(cur[gs]) {
-                        Some(k) => *slots.entry(k).or_insert_with(|| {
-                            arena.push((
-                                Some(k),
-                                plan.aggregates.iter().map(AggState::new).collect(),
-                            ));
-                            (arena.len() - 1) as u32
-                        }),
-                        None => *null_slot.get_or_insert_with(|| {
-                            arena.push((None, plan.aggregates.iter().map(AggState::new).collect()));
-                            (arena.len() - 1) as u32
-                        }),
-                    };
-                    let states = &mut arena[slot as usize].1;
-                    for (st, fetch) in states.iter_mut().zip(&fetches) {
+                    let at = slots.slot(key_col.get(cur[gs])) as usize * n_aggs;
+                    if at == states.len() {
+                        states.extend(fresh());
+                    }
+                    for (st, fetch) in states[at..at + n_aggs].iter_mut().zip(&fetches) {
                         st.update_value(fetch.get(cur, inputs));
                     }
                 });
-                let finished: FxHashMap<Row, Vec<AggValue>> = arena
-                    .into_iter()
-                    .map(|(k, states)| {
-                        (
-                            Row::new(vec![k.map(Value::Int).unwrap_or(Value::Null)]),
-                            states
-                                .iter()
-                                .map(|s| AggValue {
-                                    value: s.finish(),
-                                    n: s.contributors(),
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect();
-                return Some(WindowOutput::Groups(finished));
+                return Some(finish_slots(slots.into_key_rows(), &states, n_aggs));
             }
         }
         let mut groups: FxHashMap<Row, Vec<AggState>> = FxHashMap::default();
         let mut key_scratch: Vec<Value> = Vec::with_capacity(plan.group_by.len());
-        run_driver(&csteps, &sels, n_streams, never, |cur| {
+        run_driver(&csteps, &sels, n_streams, |cur| {
             if !emit_preds.iter().all(|p| p.eval(|s| cur[s])) {
                 return;
             }
@@ -597,7 +612,7 @@ fn try_execute(plan: &QueryPlan, inputs: &[&ColumnBatch]) -> Option<WindowOutput
                 Some(states) => states,
                 None => groups
                     .entry(Row::new(std::mem::take(&mut key_scratch)))
-                    .or_insert_with(|| plan.aggregates.iter().map(AggState::new).collect()),
+                    .or_insert_with(|| fresh().collect()),
             };
             for (st, fetch) in states.iter_mut().zip(&fetches) {
                 st.update_value(fetch.get(cur, inputs));
@@ -611,18 +626,7 @@ fn try_execute(plan: &QueryPlan, inputs: &[&ColumnBatch]) -> Option<WindowOutput
         }
         let finished = groups
             .into_iter()
-            .map(|(k, states)| {
-                (
-                    k,
-                    states
-                        .iter()
-                        .map(|s| AggValue {
-                            value: s.finish(),
-                            n: s.contributors(),
-                        })
-                        .collect(),
-                )
-            })
+            .map(|(k, states)| (k, agg_values(&states)))
             .collect();
         Some(WindowOutput::Groups(finished))
     } else {
@@ -636,7 +640,7 @@ fn try_execute(plan: &QueryPlan, inputs: &[&ColumnBatch]) -> Option<WindowOutput
             }
         }
         let mut rows: Vec<Row> = Vec::new();
-        run_driver(&csteps, &sels, n_streams, never, |cur| {
+        run_driver(&csteps, &sels, n_streams, |cur| {
             if !emit_preds.iter().all(|p| p.eval(|s| cur[s])) {
                 return;
             }
@@ -680,26 +684,129 @@ impl AggFetch<'_> {
     }
 }
 
-/// Drive every selected stream-0 row through the probe chain.
-fn run_driver(
-    csteps: &[CStep],
-    sels: &[Vec<u32>],
-    n_streams: usize,
-    never: bool,
-    mut emit: impl FnMut(&[u32]),
-) {
-    if never {
-        return;
-    }
-    if csteps.is_empty() {
-        // Single-stream plan.
-        let mut cur = [0u32];
-        for &r in &sels[0] {
-            cur[0] = r;
-            emit(&cur);
+/// Group-slot assignment on an integer GROUP BY key: slots number the
+/// groups in first-appearance order, and NULL keys share one slot.
+#[derive(Default)]
+struct GroupSlots {
+    index: FxHashMap<i64, u32>,
+    null: Option<u32>,
+    keys: Vec<Option<i64>>,
+}
+
+impl GroupSlots {
+    /// The slot of `key`, opening the next one on first sight.
+    #[inline]
+    fn slot(&mut self, key: Option<i64>) -> u32 {
+        let keys = &mut self.keys;
+        let open = || {
+            keys.push(key);
+            (keys.len() - 1) as u32
+        };
+        match key {
+            Some(k) => *self.index.entry(k).or_insert_with(open),
+            None => *self.null.get_or_insert_with(open),
         }
-        return;
     }
+
+    /// Each slot's group key as a result-map key, in slot order.
+    fn into_key_rows(self) -> impl ExactSizeIterator<Item = Row> {
+        self.keys
+            .into_iter()
+            .map(|k| Row::new(vec![k.map_or(Value::Null, Value::Int)]))
+    }
+}
+
+/// Finished values of one group's aggregate states.
+fn agg_values(states: &[AggState]) -> Vec<AggValue> {
+    states
+        .iter()
+        .map(|s| AggValue {
+            value: s.finish(),
+            n: s.contributors(),
+        })
+        .collect()
+}
+
+/// Finish a flat slot arena (`n_aggs` states per slot, in slot order)
+/// into the result map, slot `i` keyed by the `i`-th of `keys`.
+fn finish_slots(
+    keys: impl ExactSizeIterator<Item = Row>,
+    states: &[AggState],
+    n_aggs: usize,
+) -> WindowOutput {
+    let groups = keys
+        .enumerate()
+        .map(|(slot, k)| (k, agg_values(&states[slot * n_aggs..(slot + 1) * n_aggs])))
+        .collect();
+    WindowOutput::Groups(groups)
+}
+
+/// Grouped aggregation over one stream, column at a time. One pass
+/// gives each selected row its group slot; then each aggregate folds
+/// its argument column over the `(slot, row)` pairs into one flat
+/// state arena. Groups are numbered in first-appearance order and each
+/// state still folds its rows in selection order, so every group and
+/// every accumulated bit match the per-row path. `key_col` is the
+/// integer GROUP BY column, or `None` for a global aggregate, whose
+/// one group exists even when nothing is selected.
+fn fold_single_stream(
+    plan: &QueryPlan,
+    inputs: &[&ColumnBatch],
+    sel: &[u32],
+    key_col: Option<IntKeyCol>,
+    fetches: &[AggFetch],
+) -> WindowOutput {
+    let n_aggs = fetches.len();
+    let (keys, slots): (Vec<Row>, Vec<u32>) = match key_col {
+        None => (vec![Row::new(Vec::new())], vec![0; sel.len()]),
+        Some(col) => {
+            let mut groups = GroupSlots::default();
+            let slots = sel.iter().map(|&r| groups.slot(col.get(r))).collect();
+            (groups.into_key_rows().collect(), slots)
+        }
+    };
+    let mut states: Vec<AggState> = Vec::with_capacity(keys.len() * n_aggs);
+    for _ in 0..keys.len() {
+        states.extend(plan.aggregates.iter().map(AggState::new));
+    }
+    for (j, fetch) in fetches.iter().enumerate() {
+        match *fetch {
+            AggFetch::Num {
+                kind: NumColKind::Int(v, None),
+                ..
+            } => fold_agg(&mut states, n_aggs, j, &slots, sel, |r| {
+                Some(v[r as usize] as f64)
+            }),
+            AggFetch::Num {
+                kind: NumColKind::Float(v, None),
+                ..
+            } => fold_agg(&mut states, n_aggs, j, &slots, sel, |r| Some(v[r as usize])),
+            _ => fold_agg(&mut states, n_aggs, j, &slots, sel, |r| {
+                fetch.get(&[r], inputs)
+            }),
+        }
+    }
+    finish_slots(keys.into_iter(), &states, n_aggs)
+}
+
+/// Fold aggregate `j`'s argument `arg(row)` into `states[slot *
+/// n_aggs + j]` for each `(slot, row)` pair, in pair order.
+#[inline]
+fn fold_agg(
+    states: &mut [AggState],
+    n_aggs: usize,
+    j: usize,
+    slots: &[u32],
+    sel: &[u32],
+    arg: impl Fn(u32) -> Option<f64>,
+) {
+    for (&s, &r) in slots.iter().zip(sel) {
+        states[s as usize * n_aggs + j].update_value(arg(r));
+    }
+}
+
+/// Drive every selected stream-0 row through the probe chain.
+fn run_driver(csteps: &[CStep], sels: &[Vec<u32>], n_streams: usize, mut emit: impl FnMut(&[u32])) {
     let mut driver = Driver {
         steps: csteps,
         sels,

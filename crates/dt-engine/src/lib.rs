@@ -27,7 +27,7 @@ pub mod cost;
 pub mod exec;
 pub mod obs;
 
-pub use aggregate::{AggState, GroupArena};
+pub use aggregate::AggState;
 pub use batch_exec::execute_window_cols;
 pub use cost::CostModel;
 pub use exec::{execute_window, execute_window_ref, execute_window_rows, AggValue, WindowOutput};

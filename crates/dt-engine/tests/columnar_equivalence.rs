@@ -217,3 +217,104 @@ fn wrong_input_count_is_rejected_identically() {
     let err_ref = execute_window_ref(&p, &[]).unwrap_err();
     assert_eq!(err_cols.to_string(), err_ref.to_string());
 }
+
+// Single-stream grouped and global windows: these reach the per-
+// predicate filter passes (typed when an unmasked `Int` column meets an
+// `Int` literal on either side) and the group-slot pass. `U(k, f, g, x)`
+// groups on `k`, filters on the NULL-free `f` and `g`, and aggregates
+// `x`, whose column type each case picks.
+
+/// Keys and filter values at the `i64` edges.
+const EDGES: [i64; 5] = [i64::MIN, -1, 0, 1, i64::MAX];
+
+const OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+
+fn u_plan(sql: &str) -> QueryPlan {
+    let mut c = Catalog::new();
+    c.add_stream(
+        "U",
+        Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("f", DataType::Int),
+            ("g", DataType::Int),
+            ("x", DataType::Int),
+        ]),
+    );
+    Planner::new(&c).plan(&parse_select(sql).unwrap()).unwrap()
+}
+
+/// Per-row cell indices `(k, f, g, x)`; [`u_rows`] turns them into
+/// values.
+fn arb_u_cells(max: usize) -> impl Strategy<Value = Vec<(usize, usize, usize, usize)>> {
+    prop::collection::vec((0usize..6, 0usize..5, 0usize..5, 0usize..6), 0..=max)
+}
+
+/// `k` is an edge or NULL; `f` and `g` are edges. `x` depends on
+/// `arg`: 0 = Int with NULLs, 1 = Float with NULLs, 2 = all NULL,
+/// 3 = mixed Int and Float (an untyped column), 4 = Int, 5 = Float.
+fn u_rows(cells: &[(usize, usize, usize, usize)], arg: usize) -> Vec<Row> {
+    cells
+        .iter()
+        .map(|&(k, f, g, x)| {
+            let key = EDGES.get(k).map_or(Value::Null, |&k| Value::Int(k));
+            let arg = match (arg, x) {
+                (2, _) | (0 | 1 | 3, 5) => Value::Null,
+                (0 | 4, x) => Value::Int([-2, 0, 3, 7, i64::MAX, i64::MIN][x]),
+                (1 | 5, x) => Value::Float([-1.5, 0.0, 2.25, 1e300, f64::NAN, -0.0][x]),
+                (_, x) if x % 2 == 0 => Value::Int(x as i64 - 1),
+                (_, x) => Value::Float(x as f64 * 0.75),
+            };
+            Row::new(vec![key, Value::Int(EDGES[f]), Value::Int(EDGES[g]), arg])
+        })
+        .collect()
+}
+
+const U_AGGS: &str = "COUNT(*), COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x)";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn single_stream_groups_with_edge_keys_are_bit_identical(
+        cells in arb_u_cells(300),
+        arg in 0usize..6,
+        op in 0usize..6,
+        lit in 0usize..5,
+        lit_left in any::<bool>(),
+    ) {
+        let (op, lit) = (OPS[op], EDGES[lit]);
+        let pred = if lit_left { format!("{lit} {op} f") } else { format!("f {op} {lit}") };
+        let p = u_plan(&format!("SELECT k, {U_AGGS} FROM U WHERE {pred} GROUP BY k"));
+        check(&p, &[u_rows(&cells, arg)])?;
+    }
+
+    #[test]
+    fn two_local_predicates_on_one_stream_are_bit_identical(
+        cells in arb_u_cells(300),
+        arg in 0usize..6,
+        ops in (0usize..6, 0usize..6),
+        lits in (0usize..5, 0usize..5),
+    ) {
+        let sql = format!(
+            "SELECT k, {U_AGGS} FROM U WHERE f {} {} AND {} {} g GROUP BY k",
+            OPS[ops.0], EDGES[lits.0], EDGES[lits.1], OPS[ops.1],
+        );
+        check(&u_plan(&sql), &[u_rows(&cells, arg)])?;
+    }
+
+    #[test]
+    fn single_stream_global_aggregates_are_bit_identical(
+        cells in arb_u_cells(300),
+        arg in 0usize..6,
+        op in 0usize..6,
+        lit in 0usize..5,
+    ) {
+        let rows = u_rows(&cells, arg);
+        let p = u_plan(&format!("SELECT {U_AGGS} FROM U WHERE g {} {}", OPS[op], EDGES[lit]));
+        check(&p, std::slice::from_ref(&rows))?;
+        // No `f` exceeds `i64::MAX`: the filter selects nothing, and the
+        // one global group still reports its empty-input values.
+        let none = u_plan(&format!("SELECT {U_AGGS} FROM U WHERE f > {}", i64::MAX));
+        check(&none, &[rows])?;
+    }
+}

@@ -70,7 +70,7 @@ fn mix64(x: u64) -> u64 {
 /// synopsis merges partition-independently, so any routing (including
 /// the round-robin fallback and mid-run work-stealing) yields
 /// bit-identical sealed windows. Keyed routing just keeps each group
-/// key's aggregation arena and synopsis cells on one core.
+/// key's kept rows and synopsis cells on one core.
 #[derive(Debug)]
 pub struct ShardRouter {
     shards: usize,
