@@ -200,6 +200,12 @@ done
 (cd "$PIN_DIR" && cargo run --release --quiet --manifest-path "$OLDPWD/Cargo.toml" \
     -p dt-bench --bin delay_sweep -- --quick) > "$PIN_DIR/delay_sweep_quick.txt"
 diff "$PIN_DIR/delay_sweep_quick.txt" results/delay_sweep_quick.txt
+# The multi-query example is the pinned simulator run that closes
+# several queries per window under shedding (three queries over one
+# stream, 39.4 % shed).
+(cd "$PIN_DIR" && cargo run --release --quiet --manifest-path "$OLDPWD/Cargo.toml" \
+    -p datatriage --example multi_query) > "$PIN_DIR/multi_query.txt"
+diff "$PIN_DIR/multi_query.txt" results/multi_query.txt
 rm -rf "$PIN_DIR"
 
 # Perf-regression smoke: re-measure the headline metrics and fail if

@@ -17,7 +17,9 @@
 //! * [`QueryRegistry::close_window`] fans one sealed window — the
 //!   per-stream kept rows and kept/dropped synopses the server's
 //!   workers produced — out to every query active for that window,
-//!   by reference.
+//!   by reference, through [`dt_triage::fan_out`], the window close
+//!   the simulator uses too. The registry adds the emit cursor that
+//!   picks the active queries and each query's gauges.
 //!
 //! # The shared-triage invariant
 //!

@@ -6,9 +6,9 @@ use std::sync::RwLock;
 use dt_obs::{Counter, Gauge, MetricsRegistry};
 use dt_query::{parse_select, Catalog, Planner};
 use dt_triage::{
-    DelayConstraint, LaneSpec, QueryClose, QueryExecutor, SharedStream, ShedMode, SynPair,
+    fan_out, DelayConstraint, LaneSpec, QueryClose, QueryExecutor, SharedStream, ShedMode, SynPair,
 };
-use dt_types::{ColumnBatch, DtError, DtResult, Row, WindowId, WindowSpec};
+use dt_types::{DtError, DtResult, Row, WindowId, WindowSpec};
 
 use crate::spec::{QueryId, QueryInfo, QuerySpec};
 
@@ -180,11 +180,6 @@ impl QueryRegistry {
     /// The server-wide window spec.
     pub fn spec(&self) -> WindowSpec {
         self.cfg.spec
-    }
-
-    /// The shedding mode queries run under.
-    pub fn mode(&self) -> ShedMode {
-        self.cfg.mode
     }
 
     /// The next window id to be emitted.
@@ -370,12 +365,12 @@ impl QueryRegistry {
         None
     }
 
-    /// Fan one sealed window out to every query active for it. Each
-    /// stream some active query reads is converted to a
-    /// [`ColumnBatch`] once; every query's columnar
-    /// [`QueryExecutor::close`] then reads its slice of the batches and
+    /// Fan one sealed window out to every query active for it through
+    /// [`dt_triage::fan_out`]: each stream some active query reads is
+    /// converted to a columnar batch once, and every query's
+    /// [`QueryExecutor::close`] reads its slice of the batches and
     /// synopses by reference. Returns `(QueryId, QueryClose)` pairs in
-    /// id order.
+    /// id order and updates each query's gauges.
     ///
     /// Also advances the emit cursor to `window + 1` *before*
     /// enumerating, so a registration racing this call either misses
@@ -386,31 +381,19 @@ impl QueryRegistry {
         inputs: WindowInputs<'_>,
     ) -> DtResult<Vec<(QueryId, QueryClose)>> {
         let n = self.streams.len();
-        let n_pairs = inputs.pairs.map_or(n, <[SynPair]>::len);
-        if inputs.rows.len() != n || inputs.counts.len() != n || n_pairs != n {
+        if inputs.counts.len() != n {
             return Err(DtError::config(format!(
-                "close_window got {} row / {} count / {n_pairs} synopsis streams, registry has {n}",
-                inputs.rows.len(),
+                "close_window got {} count streams, registry has {n}",
                 inputs.counts.len(),
             )));
         }
         self.emit_cursor.fetch_max(window + 1, Ordering::Relaxed);
         let queries = self.queries.read().expect("registry lock poisoned");
         let active: Vec<&RegisteredQuery> = queries.iter().filter(|q| q.covers(window)).collect();
-        let mut cols: Vec<Option<ColumnBatch>> = vec![None; n];
-        for &p in active.iter().flat_map(|q| &q.phys) {
-            cols[p].get_or_insert_with(|| {
-                ColumnBatch::from_rows(self.streams[p].schema.arity(), &inputs.rows[p])
-            });
-        }
-        let mut out = Vec::new();
-        for q in active {
-            let batches: Vec<&ColumnBatch> =
-                q.phys.iter().filter_map(|&p| cols[p].as_ref()).collect();
-            let pair_refs: Option<Vec<&SynPair>> = inputs
-                .pairs
-                .map(|pairs| q.phys.iter().map(|&p| &pairs[p]).collect());
-            let close = q.exec.close(0, &batches, pair_refs.as_deref())?;
+        let queries = active.iter().map(|q| (&q.exec, 0, &q.phys[..]));
+        let closes = fan_out(&self.streams, inputs.rows, inputs.pairs, queries)?;
+        let mut out = Vec::with_capacity(closes.len());
+        for (q, close) in active.into_iter().zip(closes) {
             q.windows.fetch_add(1, Ordering::Relaxed);
             q.gauges.windows.inc();
             let est = (close.estimated_share() * 1000.0).round() as u64;
@@ -660,6 +643,97 @@ mod tests {
             };
             let err = r.close_window(0, inputs).unwrap_err();
             assert!(matches!(err, DtError::Config(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn close_routes_a_from_list_out_of_catalog_order() {
+        // R and T share a shape but not their rows, so a query handed
+        // the batches or synopses in catalog order instead of through
+        // its physical-stream map reads R as T and T as R.
+        let mut catalog = Catalog::new();
+        catalog.add_stream(
+            "R",
+            Schema::from_pairs(&[("a", DataType::Int), ("x", DataType::Int)]),
+        );
+        catalog.add_stream("S", Schema::from_pairs(&[("b", DataType::Int)]));
+        catalog.add_stream(
+            "T",
+            Schema::from_pairs(&[("c", DataType::Int), ("y", DataType::Int)]),
+        );
+        let r = QueryRegistry::new(
+            RegistryConfig {
+                catalog,
+                mode: ShedMode::DataTriage,
+                spec: WindowSpec::new(VDuration::from_secs(1)).unwrap(),
+                override_windows: false,
+            },
+            MetricsRegistry::disabled(),
+        )
+        .unwrap();
+        let select = "SELECT R.a, COUNT(*), SUM(R.x), SUM(T.y)";
+        let filter = "WHERE R.a = S.b AND S.b = T.c GROUP BY R.a";
+        for from in ["R, S, T", "T, S, R"] {
+            r.register(QuerySpec::new(format!("{select} FROM {from} {filter}")))
+                .unwrap();
+        }
+        let kept: [&[[i64; 2]]; 3] = [
+            &[[1, 10], [1, 20], [2, 30]],
+            &[[1, 0], [2, 0], [2, 0]],
+            &[[1, 100], [2, 200], [2, 300]],
+        ];
+        let dropped: [&[[i64; 2]]; 3] = [&[[2, 40]], &[[1, 0]], &[[1, 500], [2, 600]]];
+        let cfg = SynopsisConfig::Sparse { cell_width: 1 };
+        let mut rows = Vec::new();
+        let mut pairs = Vec::new();
+        let mut counts = Vec::new();
+        for (i, s) in r.streams().iter().enumerate() {
+            let arity = s.schema.arity();
+            let mut pair = SynPair {
+                kept: cfg.build(arity).unwrap(),
+                dropped: cfg.build(arity).unwrap(),
+            };
+            for v in kept[i] {
+                pair.kept.insert(&v[..arity]).unwrap();
+            }
+            for v in dropped[i] {
+                pair.dropped.insert(&v[..arity]).unwrap();
+            }
+            pair.kept.seal();
+            pair.dropped.seal();
+            rows.push(
+                kept[i]
+                    .iter()
+                    .map(|v| Row::from_ints(&v[..arity]))
+                    .collect::<Vec<_>>(),
+            );
+            pairs.push(pair);
+            counts.push((kept[i].len() as u64, dropped[i].len() as u64));
+        }
+        for (w, pairs) in [(0, None), (1, Some(&pairs[..]))] {
+            let inputs = WindowInputs {
+                rows: &rows,
+                pairs,
+                counts: &counts,
+            };
+            let out = r.close_window(w, inputs).unwrap();
+            let groups = |c: &QueryClose| match &c.payload {
+                dt_triage::WindowPayload::Groups(g) => g.clone(),
+                other => panic!("{other:?}"),
+            };
+            let (catalog_order, reordered) = (&out[0].1, &out[1].1);
+            let g = groups(catalog_order);
+            if pairs.is_none() {
+                // Exact only: a=1 joins two R rows with one S and one
+                // T row; a=2 one R row with two S and two T rows.
+                assert_eq!(g[&Row::from_ints(&[1])], vec![2.0, 30.0, 200.0]);
+                assert_eq!(g[&Row::from_ints(&[2])], vec![4.0, 120.0, 1000.0]);
+            } else {
+                assert!(catalog_order.merged_mass > catalog_order.exact_mass);
+            }
+            assert_eq!(g, groups(reordered), "window {w}");
+            assert_eq!(catalog_order.exact_mass, reordered.exact_mass);
+            assert_eq!(catalog_order.merged_mass, reordered.merged_mass);
         }
     }
 

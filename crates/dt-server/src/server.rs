@@ -22,9 +22,9 @@ use dt_obs::{Gauge, MetricsRegistry};
 use dt_registry::{QueryId, QueryInfo, QueryRegistry, QuerySpec, RegistryConfig};
 use dt_synopsis::SynopsisConfig;
 use dt_triage::{
-    merge_sealed, ControllerGauges, DelayConstraint, FairController, RunReport, RunTotals,
-    SealedWindow, ShardQueues, ShardRouter, SharedController, SharedStream, ShedDecision, ShedMode,
-    SynPair, WindowResult,
+    gather_seals, merge_sealed, ControllerGauges, DelayConstraint, FairController, RunReport,
+    RunTotals, SealedWindow, ShardQueues, ShardRouter, SharedController, SharedStream,
+    ShedDecision, ShedMode, WindowResult,
 };
 use dt_types::{json, Json, ToJson};
 use dt_types::{Clock, DtError, DtResult, Timestamp, Tuple, VDuration, WindowId, WindowSpec};
@@ -1125,11 +1125,7 @@ fn emit_window(
         None if fill == Fill::Forced => vec![None; n_streams * shards],
         None => return Err(DtError::engine("emitting an absent window")),
     };
-    let mut shared_rows: Vec<Vec<dt_types::Row>> = Vec::with_capacity(n_streams);
-    let mut pairs: Vec<SynPair> = Vec::new();
-    let mut counts: Vec<(u64, u64)> = Vec::with_capacity(n_streams);
-    let (mut arrived, mut kept, mut dropped) = (0u64, 0u64, 0u64);
-    let mut degraded = false;
+    let mut seals: Vec<SealedWindow> = Vec::with_capacity(n_streams);
     for i in 0..n_streams {
         // Fold this stream's shard partials (ascending shard order —
         // `merge_sealed` sorts) into one per-stream seal. With
@@ -1140,81 +1136,32 @@ fn emit_window(
             .filter_map(Option::take)
             .collect();
         let missing = shards - parts.len();
-        let sw = if parts.is_empty() {
-            if fill == Fill::Strict {
-                return Err(DtError::engine("emitting an incomplete window"));
-            }
-            // Synthesize the missing seal: empty rows plus freshly
-            // sealed empty synopses. Under `Fill::Idle` the stream
-            // was genuinely idle (clean); under `Fill::Forced` its
-            // worker group is stalled and whatever it held for this
-            // window is lost — degraded.
-            let syn = if inner.mode.uses_synopses() {
-                let arity = registry.streams()[i].schema.arity();
-                let mut kept_syn = synopsis.build(arity)?;
-                let mut dropped_syn = synopsis.build(arity)?;
-                kept_syn.seal();
-                dropped_syn.seal();
-                Some(SynPair {
-                    kept: kept_syn,
-                    dropped: dropped_syn,
-                })
-            } else {
-                None
-            };
-            SealedWindow {
-                stream: i,
-                shard: 0,
-                window: w,
-                rows: Vec::new(),
-                seqs: Vec::new(),
-                syn,
-                arrived: 0,
-                kept: 0,
-                dropped: 0,
-                degraded: fill == Fill::Forced,
-            }
+        if missing > 0 && fill == Fill::Strict {
+            return Err(DtError::engine("emitting an incomplete window"));
+        }
+        let mut sw = if parts.is_empty() {
+            let arity = registry.streams()[i].schema.arity();
+            SealedWindow::empty(i, w, inner.mode, synopsis, arity)?
         } else {
-            if missing > 0 && fill == Fill::Strict {
-                return Err(DtError::engine("emitting an incomplete window"));
-            }
-            let mut sw = merge_sealed(parts)?;
-            // A force-seal with shard partials still absent lost
-            // whatever those shards held for this window.
-            if missing > 0 && fill == Fill::Forced {
-                sw.degraded = true;
-            }
-            sw
+            merge_sealed(parts)?
         };
-        arrived += sw.arrived;
-        kept += sw.kept;
-        dropped += sw.dropped;
-        degraded |= sw.degraded;
-        counts.push((sw.kept, sw.dropped));
-        shared_rows.push(sw.rows);
-        if let Some(p) = sw.syn {
-            pairs.push(p);
+        // Under `Fill::Idle` a missing stream was genuinely idle
+        // (clean); under `Fill::Forced` its worker group, or some of
+        // its shards, are stalled and whatever they held for this
+        // window is lost — degraded.
+        if missing > 0 && fill == Fill::Forced {
+            sw.degraded = true;
         }
+        seals.push(sw);
     }
-    let pairs = if inner.mode.uses_synopses() {
-        if pairs.len() != shared_rows.len() {
-            return Err(DtError::engine("sealed window missing synopses"));
-        }
-        let units: usize = pairs
-            .iter()
-            .map(|p| p.kept.memory_units() + p.dropped.memory_units())
-            .sum();
-        *peak_units = (*peak_units).max(units);
-        Some(pairs)
-    } else {
-        None
-    };
+    let g = gather_seals(seals, inner.mode)?;
+    *peak_units = (*peak_units).max(g.memory_units);
     let closes = registry.close_window(
         w,
         dt_registry::WindowInputs {
-            rows: &shared_rows,
-            pairs: pairs.as_deref(),
-            counts: &counts,
+            rows: &g.rows,
+            pairs: g.pairs.as_deref(),
+            counts: &g.counts,
         },
     )?;
     let emitted_at: Timestamp = inner.clock.now().max(spec.window_end(w));
@@ -1229,14 +1176,14 @@ fn emit_window(
             window: w,
             payload: close.payload,
             emitted_at,
-            arrived,
-            kept,
-            dropped,
-            degraded,
+            arrived: g.arrived,
+            kept: g.kept,
+            dropped: g.dropped,
+            degraded: g.degraded,
         });
     }
     inner.stats.windows_emitted.fetch_add(1, Ordering::SeqCst);
-    if degraded {
+    if g.degraded {
         inner.stats.windows_degraded.fetch_add(1, Ordering::SeqCst);
     }
     Ok(())

@@ -8,11 +8,13 @@
 //! plus kept/dropped synopses — it produces each query's
 //! [`WindowPayload`].
 //!
-//! Two callers share it:
+//! Every runtime reaches it through one fan-out, [`crate::fan_out`]:
 //!
-//! * [`crate::SharedPipeline`], the virtual-time simulation, and
-//! * `dt-server`'s merger thread, which closes windows sealed by
-//!   per-stream worker threads against a wall clock.
+//! * [`crate::SharedPipeline`], the virtual-time simulation, closes
+//!   all its queries through one multi-plan executor, and
+//! * `dt-server`'s merger thread closes windows sealed by per-stream
+//!   worker threads against a wall clock, through one single-plan
+//!   executor per query of `dt-registry`'s `QueryRegistry`.
 //!
 //! Because the executor holds no mutable state, a server can call it
 //! from any thread behind an `Arc` without locking.
@@ -21,7 +23,7 @@ use dt_engine::{ExecMetrics, WindowOutput};
 use dt_obs::MetricsRegistry;
 use dt_query::QueryPlan;
 use dt_rewrite::{evaluate_ref, rewrite_dropped, ShadowQuery};
-use dt_synopsis::{Synopsis, SynopsisConfig};
+use dt_synopsis::Synopsis;
 use dt_types::{ColumnBatch, DtError, DtResult, Row, Schema, WindowSpec};
 
 use crate::merge::merge_window;
@@ -90,7 +92,6 @@ pub struct QueryExecutor {
     streams: Vec<SharedStream>,
     queries: Vec<QueryRuntime>,
     spec: WindowSpec,
-    mode: ShedMode,
     /// Engine instruments ([`ExecMetrics::default`] = disabled).
     metrics: ExecMetrics,
 }
@@ -184,7 +185,6 @@ impl QueryExecutor {
             streams,
             queries,
             spec,
-            mode,
             metrics: ExecMetrics::default(),
         })
     }
@@ -205,11 +205,6 @@ impl QueryExecutor {
         self.spec
     }
 
-    /// The shedding mode the executor was compiled for.
-    pub fn mode(&self) -> ShedMode {
-        self.mode
-    }
-
     /// Number of registered queries.
     pub fn num_queries(&self) -> usize {
         self.queries.len()
@@ -223,20 +218,6 @@ impl QueryExecutor {
     /// Query `q`'s shadow query, when the mode uses one.
     pub fn shadow(&self, q: usize) -> Option<&ShadowQuery> {
         self.queries.get(q).and_then(|r| r.shadow.as_ref())
-    }
-
-    /// Fresh (unsealed) kept/dropped synopsis pairs, one per physical
-    /// stream.
-    pub fn empty_pairs(&self, synopsis: &SynopsisConfig) -> DtResult<Vec<SynPair>> {
-        self.streams
-            .iter()
-            .map(|s| {
-                Ok(SynPair {
-                    kept: synopsis.build(s.schema.arity())?,
-                    dropped: synopsis.build(s.schema.arity())?,
-                })
-            })
-            .collect()
     }
 
     /// Query `q`'s compiled state.
@@ -266,27 +247,20 @@ impl QueryExecutor {
         Ok(query.stream_map.iter().map(|&si| table[si]).collect())
     }
 
-    /// Row adapter over [`QueryExecutor::exact_batch_cols`]: converts
-    /// each stream's kept rows (`shared_rows[i]` holds physical stream
-    /// `i`'s rows) with [`ColumnBatch::from_rows`], then runs the
-    /// columnar executor.
+    /// Exact execution of query `q` over one window's kept rows
+    /// (`shared_rows[i]` holds physical stream `i`'s rows): a row
+    /// adapter that converts each stream with
+    /// [`ColumnBatch::from_rows`], then runs the columnar executor.
     pub fn exact_batch(&self, q: usize, shared_rows: &[Vec<Row>]) -> DtResult<WindowOutput> {
+        let query = self.query(q)?;
         let cols: Vec<ColumnBatch> = self
             .streams
             .iter()
             .zip(shared_rows)
             .map(|(s, rows)| ColumnBatch::from_rows(s.schema.arity(), rows))
             .collect();
-        self.exact_batch_cols(q, &cols)
-    }
-
-    /// Exact execution of query `q` over one window's kept tuples,
-    /// one [`ColumnBatch`] per physical stream, through the vectorized
-    /// executor.
-    pub fn exact_batch_cols(&self, q: usize, shared: &[ColumnBatch]) -> DtResult<WindowOutput> {
-        let query = self.query(q)?;
-        let shared: Vec<&ColumnBatch> = shared.iter().collect();
-        let inputs = self.route(query, &shared, "exact_batch_cols")?;
+        let shared: Vec<&ColumnBatch> = cols.iter().collect();
+        let inputs = self.route(query, &shared, "exact_batch")?;
         self.metrics.execute_window_cols(&query.plan, &inputs)
     }
 
@@ -414,6 +388,7 @@ impl QueryExecutor {
 mod tests {
     use super::*;
     use dt_query::{parse_select, Catalog, Planner};
+    use dt_synopsis::SynopsisConfig;
     use dt_types::DataType;
 
     fn catalog() -> Catalog {
@@ -436,9 +411,11 @@ mod tests {
             ShedMode::DataTriage,
         )
         .unwrap();
-        let mut pairs = exec
-            .empty_pairs(&SynopsisConfig::Sparse { cell_width: 1 })
-            .unwrap();
+        let cfg = SynopsisConfig::Sparse { cell_width: 1 };
+        let mut pairs = vec![SynPair {
+            kept: cfg.build(1).unwrap(),
+            dropped: cfg.build(1).unwrap(),
+        }];
         for _ in 0..2 {
             pairs[0].dropped.insert(&[1]).unwrap();
         }
@@ -484,7 +461,6 @@ mod tests {
         // not index panics.
         for err in [
             exec.exact_batch(0, &[]).unwrap_err(),
-            exec.exact_batch_cols(0, &[]).unwrap_err(),
             exec.close(0, &[], None).unwrap_err(),
             exec.close(0, &[&cols], Some(&[])).unwrap_err(),
             exec.payload(0, exact, Some(&[])).unwrap_err(),

@@ -28,9 +28,10 @@
 //! # Runtimes over the stages
 //!
 //! * [`StreamTriage`] / [`QueryExecutor`] — the per-stream fold/seal
-//!   state and the stateless window-close half. Every runtime folds,
-//!   seals and closes through these two, so the runtimes differ only
-//!   in their clock and their threads.
+//!   state and the stateless window-close half, joined by
+//!   [`gather_seals`] and [`fan_out`] ([`close`]), the one window
+//!   close. Every runtime folds, seals and closes through these, so
+//!   the runtimes differ only in their clock and their threads.
 //! * [`SharedPipeline`] (and its one-query facade [`Pipeline`]) — the
 //!   single-threaded virtual-clock simulation: a driver over
 //!   per-stream [`TriageQueue`]s, an engine that consumes at its
@@ -39,7 +40,7 @@
 //!   `SharedPipeline` runs many queries over shared streams and
 //!   shared synopses (§8.1).
 //! * The threaded `dt-server` runtime drives the same `StreamTriage`
-//!   from worker threads and the same `QueryExecutor` from its merger
+//!   from worker threads and the same window close from its merger
 //!   thread.
 //!
 //! # Choosing *when* to shed
@@ -67,6 +68,7 @@
 
 #![deny(missing_docs)]
 
+pub mod close;
 pub mod controller;
 pub mod executor;
 pub mod merge;
@@ -80,6 +82,7 @@ pub mod shed;
 pub mod stream;
 mod winmap;
 
+pub use close::{fan_out, gather_seals, GatheredWindow};
 pub use controller::{
     ControllerState, DelayConstraint, FairController, LaneSpec, LaneState, SharedController,
     ShedDecision, FAIR_EPOCH,

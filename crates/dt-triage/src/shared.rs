@@ -24,22 +24,23 @@
 //! tuples go to [`StreamTriage::keep_owned`] as the engine drains
 //! them and victims to [`StreamTriage::shed`]; a window closes once
 //! no arrival or queued tuple can still reach it, by sealing it on
-//! every stream and running [`QueryExecutor::close`] on the sealed
-//! rows — the same fold, seal and close the threaded `dt-server`
-//! runtime uses. Only windows some stream holds state for are sealed
-//! and emitted.
+//! every stream, folding the seals with [`crate::gather_seals`] and
+//! closing every query with [`crate::fan_out`] — the same fold, seal
+//! and close the threaded `dt-server` runtime uses. Only windows some
+//! stream holds state for are sealed and emitted.
 //!
 //! The single-query [`crate::Pipeline`] is a thin facade over this
 //! type.
 
 use dt_query::QueryPlan;
 use dt_rewrite::ShadowQuery;
-use dt_types::{ColumnBatch, DtError, DtResult, Timestamp, Tuple, WindowId, WindowSpec};
+use dt_types::{DtError, DtResult, Timestamp, Tuple, WindowId, WindowSpec};
 
 use dt_obs::MetricsRegistry;
 
+use crate::close::{fan_out, gather_seals};
 use crate::controller::{SharedController, ShedDecision};
-use crate::executor::{QueryExecutor, SynPair};
+use crate::executor::QueryExecutor;
 use crate::obs::{ControllerGauges, TriageObs};
 use crate::pipeline::{PipelineConfig, RunReport, RunTotals, WindowResult};
 use crate::policy::DropPolicy;
@@ -181,12 +182,6 @@ impl SharedPipeline {
     /// Query `q`'s shadow query, when the mode uses one.
     pub fn shadow(&self, q: usize) -> Option<&ShadowQuery> {
         self.exec.shadow(q)
-    }
-
-    /// The stateless window-close executor (plans, shadows, merge),
-    /// shareable with other runtimes.
-    pub fn executor(&self) -> &QueryExecutor {
-        &self.exec
     }
 
     /// Feed one arrival on a *shared* stream (index into
@@ -381,45 +376,33 @@ impl SharedPipeline {
     fn close_window(&mut self, w: WindowId) -> DtResult<()> {
         self.flush_obs();
         self.obs.windows_closed.inc();
-        let n = self.triages.len();
-        let (mut arrived, mut kept, mut dropped) = (0u64, 0u64, 0u64);
-        let mut batches: Vec<ColumnBatch> = Vec::with_capacity(n);
-        let mut pairs: Vec<SynPair> = Vec::with_capacity(n);
-        for (t, s) in self.triages.iter_mut().zip(self.exec.streams()) {
+        let mut seals = Vec::with_capacity(self.triages.len());
+        for t in &mut self.triages {
             t.skip_idle(w);
             let [sw]: [SealedWindow; 1] = t
                 .seal_through(w)?
                 .try_into()
                 .map_err(|_| DtError::engine("simulator sealed more than one window"))?;
-            arrived += sw.arrived;
-            kept += sw.kept;
-            dropped += sw.dropped;
-            batches.push(ColumnBatch::from_rows(s.schema.arity(), &sw.rows));
-            pairs.extend(sw.syn);
+            seals.push(sw);
         }
-        let pairs = self.cfg.mode.uses_synopses().then_some(pairs);
-        if let Some(pairs) = &pairs {
-            let units: usize = pairs
-                .iter()
-                .map(|p| p.kept.memory_units() + p.dropped.memory_units())
-                .sum();
-            self.totals.peak_synopsis_units = self.totals.peak_synopsis_units.max(units);
-        }
+        let g = gather_seals(seals, self.cfg.mode)?;
+        self.totals.peak_synopsis_units = self.totals.peak_synopsis_units.max(g.memory_units);
 
-        // Every query reads the shared batches and synopses by
-        // reference (aliased self-joins read the same batch).
-        let cols: Vec<&ColumnBatch> = batches.iter().collect();
-        let pair_refs: Option<Vec<&SynPair>> = pairs.as_ref().map(|p| p.iter().collect());
-        for qi in 0..self.exec.num_queries() {
-            let payload = self.exec.close(qi, &cols, pair_refs.as_deref())?.payload;
-            self.results[qi].push(WindowResult {
+        // The one executor's streams are the physical streams, so
+        // every query reads them through the identity map.
+        let identity: Vec<usize> = (0..self.triages.len()).collect();
+        let queries = (0..self.exec.num_queries()).map(|q| (&self.exec, q, &identity[..]));
+        let closes = fan_out(self.exec.streams(), &g.rows, g.pairs.as_deref(), queries)?;
+        let emitted_at = self.now.max(self.spec.window_end(w));
+        for (windows, close) in self.results.iter_mut().zip(closes) {
+            windows.push(WindowResult {
                 window: w,
-                payload,
-                emitted_at: self.now.max(self.spec.window_end(w)),
-                arrived,
-                kept,
-                dropped,
-                degraded: false,
+                payload: close.payload,
+                emitted_at,
+                arrived: g.arrived,
+                kept: g.kept,
+                dropped: g.dropped,
+                degraded: g.degraded,
             });
         }
         Ok(())

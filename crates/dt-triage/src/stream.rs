@@ -134,7 +134,7 @@ fn row_point_into(row: &Row, out: &mut Vec<i64>) -> DtResult<()> {
 }
 
 /// One sealed window of one physical stream, ready for the merger.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SealedWindow {
     /// Physical stream index.
     pub stream: usize,
@@ -168,6 +168,22 @@ pub struct SealedWindow {
     /// tuples. Degraded windows still carry whatever survived; the
     /// flag tells consumers the usual RMS-error bounds do not apply.
     pub degraded: bool,
+}
+
+impl SealedWindow {
+    /// The seal of a window stream `stream` never saw, as an unsharded
+    /// [`StreamTriage`] seals it: no rows, zero counts and, in a
+    /// synopsis mode, a freshly built and sealed synopsis pair. The
+    /// server's merger fills a stream's missing seal with it.
+    pub fn empty(
+        stream: usize,
+        window: WindowId,
+        mode: ShedMode,
+        synopsis: &SynopsisConfig,
+        arity: usize,
+    ) -> DtResult<SealedWindow> {
+        Ok(WinState::open(mode, synopsis, arity, false)?.into_sealed(stream, 0, window, false))
+    }
 }
 
 /// Open-window state.
@@ -220,6 +236,33 @@ impl WinState {
             kept: 0,
             dropped: 0,
         })
+    }
+
+    /// Window `w`'s seal, its buffered points already flushed. The
+    /// synopses are sealed unless `defer` (merge mode).
+    fn into_sealed(
+        mut self,
+        stream: usize,
+        shard: usize,
+        w: WindowId,
+        defer: bool,
+    ) -> SealedWindow {
+        if let Some(pair) = self.syn.as_mut().filter(|_| !defer) {
+            pair.kept.seal();
+            pair.dropped.seal();
+        }
+        SealedWindow {
+            stream,
+            shard,
+            window: w,
+            rows: self.rows,
+            seqs: self.seqs,
+            syn: self.syn,
+            arrived: self.arrived,
+            kept: self.kept,
+            dropped: self.dropped,
+            degraded: false,
+        }
     }
 }
 
@@ -528,26 +571,9 @@ impl StreamTriage {
                     .observe(t0.elapsed().as_micros() as u64);
             }
         }
-        let defer = self.merge_mode;
-        let syn = st.syn.map(|mut pair| {
-            if !defer {
-                pair.kept.seal();
-                pair.dropped.seal();
-            }
-            pair
-        });
-        Ok(SealedWindow {
-            stream: self.stream,
-            shard: self.shard,
-            window: w,
-            rows: st.rows,
-            seqs: st.seqs,
-            syn,
-            arrived: st.arrived,
-            kept: st.kept,
-            dropped: st.dropped,
-            degraded: w < self.degraded_until,
-        })
+        let mut sw = st.into_sealed(self.stream, self.shard, w, self.merge_mode);
+        sw.degraded = w < self.degraded_until;
+        Ok(sw)
     }
 
     /// Add the fold counts gathered since the last seal to the
@@ -773,6 +799,39 @@ mod tests {
         let syn = w.syn.as_ref().expect("Data Triage mode builds synopses");
         assert_eq!(syn.kept.total_mass(), 0.0);
         assert_eq!(syn.dropped.total_mass(), 0.0);
+    }
+
+    #[test]
+    fn empty_seal_is_what_an_unsharded_triage_seals_for_an_unseen_window() {
+        let configs = [
+            SynopsisConfig::Sparse { cell_width: 5 },
+            SynopsisConfig::MHist {
+                max_buckets: 8,
+                alignment: None,
+            },
+            SynopsisConfig::Reservoir {
+                capacity: 4,
+                seed: 3,
+            },
+        ];
+        for mode in [
+            ShedMode::DropOnly,
+            ShedMode::SummarizeOnly,
+            ShedMode::DataTriage,
+        ] {
+            for synopsis in configs {
+                let mut t = StreamTriage::new(3, 2, mode, synopsis, spec());
+                // Window 7 holds tuples; window 6 is never seen.
+                t.keep(&Tuple::new(
+                    Row::from_ints(&[1, 2]),
+                    Timestamp::from_micros(7_500_000),
+                ))
+                .unwrap();
+                let unseen = t.seal_through(6).unwrap().pop().unwrap();
+                let empty = SealedWindow::empty(3, 6, mode, &synopsis, 2).unwrap();
+                assert_eq!(empty, unseen, "{mode:?} {synopsis:?}");
+            }
+        }
     }
 
     #[test]
