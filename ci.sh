@@ -46,6 +46,18 @@ for workload in fig7-join fanout-ingest bursty-join; do
         | awk '{print $NF}')
     awk -v p50="$P50" 'BEGIN { exit !(p50 != "" && p50 + 0 < 30) }'
 done
+# Traced-close smoke: `--trace 1` replays fanout-ingest through the
+# layers, merging each window's shard seals from the live shard data
+# with merge_sealed and checking every query's exact_batch + payload
+# split against close_window's result. It writes .bench_trace/ to the
+# current directory, so it runs from a temp directory.
+TRACE_DIR=$(mktemp -d)
+(cd "$TRACE_DIR" && cargo run --release --offline --quiet \
+    --manifest-path "$OLDPWD/e2ebench/Cargo.toml" -- \
+    --workload fanout-ingest --seed 7 --seconds 2 --trace 1) \
+    | tail -n 1 > "$TRACE_DIR/trace.json"
+grep -q '"correct": true' "$TRACE_DIR/trace.json"
+rm -rf "$TRACE_DIR"
 
 # Observability smoke: start a live dt-serve (stdin held open by the
 # sleep), scrape GET /metrics through the bundled example, and require

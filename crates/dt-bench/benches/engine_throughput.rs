@@ -1,16 +1,18 @@
 //! Engine and pipeline throughput: exact window execution at several
 //! window sizes, the registry's close of the fanout-ingest query set
-//! over one window, and the full pipeline per shedding mode on one
-//! fixed workload.
+//! over one window, the merger's fold of two shards' seals, and the
+//! full pipeline per shedding mode on one fixed workload.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::cell::RefCell;
+
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dt_engine::{execute_window, execute_window_cols, CostModel};
 use dt_metrics::{report_to_map, SweepConfig};
 use dt_obs::MetricsRegistry;
 use dt_query::{parse_select, Catalog, Planner, QueryPlan};
 use dt_registry::{QueryRegistry, QuerySpec, RegistryConfig, WindowInputs};
 use dt_synopsis::SynopsisConfig;
-use dt_triage::{Pipeline, PipelineConfig, ShedMode, SynPair};
+use dt_triage::{merge_sealed, Pipeline, PipelineConfig, SealedWindow, ShedMode, SynPair};
 use dt_types::{ColumnBatch, DataType, Row, Schema, VDuration, WindowSpec};
 use dt_workload::{generate, ArrivalModel, Gaussian, StreamSpec, WorkloadConfig};
 use rand::{Rng, SeedableRng};
@@ -141,6 +143,88 @@ fn bench_window_exec_fanout(c: &mut Criterion) {
     group.finish();
 }
 
+/// Two shards' seals of one 10k-row window, as `merge_sealed` receives
+/// them: each tuple's ingest sequence is routed to a random shard, and
+/// every 8th 64-tuple batch a shard queues loses its newer half to the
+/// other shard, which seals those stolen tuples right after its own
+/// batch — so each part is ascending except for short out-of-order
+/// runs.
+fn sealed_parts(seed: u64) -> Vec<SealedWindow> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut queues: [Vec<u64>; 2] = Default::default();
+    for seq in 0..10_000u64 {
+        queues[rng.gen_range(0..2usize)].push(seq);
+    }
+    let mut parts: [Vec<u64>; 2] = Default::default();
+    let batches = queues
+        .iter()
+        .map(|q| q.len().div_ceil(64))
+        .max()
+        .unwrap_or(0);
+    for i in 0..batches {
+        for s in 0..2 {
+            let Some(batch) = queues[s].chunks(64).nth(i) else {
+                continue;
+            };
+            if i % 8 == 7 && batch.len() > 32 {
+                let (own, stolen) = batch.split_at(32);
+                parts[s].extend_from_slice(own);
+                parts[1 - s].extend_from_slice(stolen);
+            } else {
+                parts[s].extend_from_slice(batch);
+            }
+        }
+    }
+    parts
+        .into_iter()
+        .enumerate()
+        .map(|(shard, seqs)| {
+            let mut part = SealedWindow::empty(
+                0,
+                0,
+                ShedMode::DropOnly,
+                &SynopsisConfig::default_sparse(),
+                2,
+            )
+            .unwrap();
+            part.shard = shard;
+            part.rows = seqs
+                .iter()
+                .map(|&q| Row::from_ints(&[q as i64 % 97, q as i64]))
+                .collect();
+            part.kept = seqs.len() as u64;
+            part.arrived = part.kept;
+            part.seqs = seqs;
+            part
+        })
+        .collect()
+}
+
+/// The merger's fold of one window's two shard seals (rows back into
+/// ingest order). Cloning the parts and freeing the merged window's
+/// 10k rows both happen in the untimed setup, so only the merge is
+/// measured.
+fn bench_shard_merge(c: &mut Criterion) {
+    let parts = sealed_parts(11);
+    let merged = merge_sealed(parts.clone()).unwrap();
+    assert!(merged.seqs.windows(2).all(|w| w[0] < w[1]), "arrival order");
+    assert_eq!(merged.rows.len(), 10_000);
+    let last = RefCell::new(Some(merged));
+    let mut group = c.benchmark_group("shard_merge");
+    group.sample_size(10);
+    group.bench_function("2_parts/10k_rows", |b| {
+        b.iter_batched(
+            || {
+                drop(last.take());
+                parts.clone()
+            },
+            |parts| *last.borrow_mut() = Some(merge_sealed(parts).unwrap()),
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
 fn bench_pipeline_modes(c: &mut Criterion) {
     let workload = WorkloadConfig::paper_constant(4_000.0, 8_000, 5);
     let arrivals = generate(&workload).unwrap();
@@ -166,6 +250,7 @@ criterion_group!(
     benches,
     bench_window_exec,
     bench_window_exec_fanout,
+    bench_shard_merge,
     bench_pipeline_modes
 );
 criterion_main!(benches);

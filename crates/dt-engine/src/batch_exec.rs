@@ -13,7 +13,10 @@
 //!   selection);
 //! * a single-stream plan grouped by one `Int` column or by none runs
 //!   column at a time: one pass assigns each selected row its group
-//!   slot, then each aggregate folds its typed argument column.
+//!   slot, then each aggregate folds its typed argument column;
+//! * an integer GROUP BY numbers its groups through the column's
+//!   memoized [`GroupCodes`], so the key hashing is done once per
+//!   batch column, not once per query.
 //!
 //! The executor is bit-identical to the row path by construction: it
 //! enumerates join results in exactly the row path's driver order
@@ -28,7 +31,7 @@
 use std::cmp::Ordering;
 
 use dt_query::{CmpOp, CompiledPredicate, OutputColumn, PredOperand, QueryPlan};
-use dt_types::{ColumnBatch, DtError, DtResult, FxHashMap, FxHashSet, Row, Value};
+use dt_types::{ColumnBatch, DtError, DtResult, FxHashMap, FxHashSet, GroupCodes, Row, Value};
 
 use crate::aggregate::AggState;
 use crate::exec::{execute_window_rows, AggValue, WindowOutput};
@@ -199,9 +202,20 @@ fn filter_pass(sel: &mut Vec<u32>, p: &CPred) {
 }
 
 /// The typed loop of [`filter_pass`], monomorphized per operator.
+/// Branch-free compaction: every candidate is written at the cursor,
+/// which advances by the predicate's `bool`, so a selective predicate
+/// on noisy data costs no mispredicted branches. The cursor never
+/// passes the read index, so the order and the kept rows are those of
+/// `retain`.
 #[inline]
 fn retain_int(sel: &mut Vec<u32>, v: &[i64], keep: impl Fn(i64) -> bool) {
-    sel.retain(|&r| keep(v[r as usize]));
+    let mut w = 0;
+    for i in 0..sel.len() {
+        let r = sel[i];
+        sel[w] = r;
+        w += keep(v[r as usize]) as usize;
+    }
+    sel.truncate(w);
 }
 
 /// Classification of one residual predicate.
@@ -287,6 +301,16 @@ impl IntKeyCol<'_> {
         let i = i as usize;
         m.is_none_or(|m| m[i]).then(|| v[i])
     }
+}
+
+/// The memoized [`GroupCodes`] of an integer (or all-NULL) GROUP BY
+/// column; `None` → the generic grouping path.
+fn group_codes<'a>(
+    inputs: &[&'a ColumnBatch],
+    stream: usize,
+    local: usize,
+) -> Option<&'a GroupCodes> {
+    inputs[stream].column(local)?.group_codes()
 }
 
 /// Resolve a join-key column; columnar joins require integer keys
@@ -520,7 +544,7 @@ fn try_execute(plan: &QueryPlan, inputs: &[&ColumnBatch]) -> Option<WindowOutput
         if n_streams == 1 {
             let key_col = match group_cols[..] {
                 [] => Some(None),
-                [(_, gc)] => int_key_col(inputs, 0, gc).map(Some),
+                [(_, gc)] => group_codes(inputs, 0, gc).map(Some),
                 _ => None,
             };
             if let Some(key_col) = key_col {
@@ -530,12 +554,12 @@ fn try_execute(plan: &QueryPlan, inputs: &[&ColumnBatch]) -> Option<WindowOutput
             }
         }
         // Single integer GROUP BY column over a join — the paper-query
-        // shape: group on the raw `i64` key with no per-result `Value`
-        // materialization or enum hashing. Per-group update order (and
-        // with it every accumulated bit) is the driver order.
+        // shape: group on the column's codes with no per-result `Value`
+        // materialization or hashing. Per-group update order (and with
+        // it every accumulated bit) is the driver order.
         if let [(gs, gc)] = group_cols[..] {
-            if let Some(key_col) = int_key_col(inputs, gs, gc) {
-                let mut slots = GroupSlots::default();
+            if let Some(codes) = group_codes(inputs, gs, gc) {
+                let mut slots = GroupSlots::new(codes);
                 // Count-only refinement: with no emit predicates and
                 // only argument-less aggregates (`COUNT(*)`), the last
                 // join level's matches all land in the group chosen by
@@ -569,7 +593,7 @@ fn try_execute(plan: &QueryPlan, inputs: &[&ColumnBatch]) -> Option<WindowOutput
                         if m == 0 {
                             return;
                         }
-                        let slot = slots.slot(key_col.get(cur[gs])) as usize;
+                        let slot = slots.slot(cur[gs]) as usize;
                         if slot == counts.len() {
                             counts.push(0);
                         }
@@ -587,7 +611,7 @@ fn try_execute(plan: &QueryPlan, inputs: &[&ColumnBatch]) -> Option<WindowOutput
                     if !emit_preds.iter().all(|p| p.eval(|s| cur[s])) {
                         return;
                     }
-                    let at = slots.slot(key_col.get(cur[gs])) as usize * n_aggs;
+                    let at = slots.slot(cur[gs]) as usize * n_aggs;
                     if at == states.len() {
                         states.extend(fresh());
                     }
@@ -684,28 +708,40 @@ impl AggFetch<'_> {
     }
 }
 
-/// Group-slot assignment on an integer GROUP BY key: slots number the
-/// groups in first-appearance order, and NULL keys share one slot.
-#[derive(Default)]
-struct GroupSlots {
-    index: FxHashMap<i64, u32>,
-    null: Option<u32>,
+/// Group-slot assignment on an integer GROUP BY column: slots number
+/// the groups in first-appearance order over the rows passed to
+/// [`GroupSlots::slot`], and NULL keys share one slot. A dense remap
+/// from the column's [`GroupCodes`] to slots replaces a per-query hash
+/// of the keys.
+struct GroupSlots<'a> {
+    codes: &'a GroupCodes,
+    /// Slot of each code, [`UNSEEN`] until the code's first row.
+    remap: Vec<u32>,
     keys: Vec<Option<i64>>,
 }
 
-impl GroupSlots {
-    /// The slot of `key`, opening the next one on first sight.
-    #[inline]
-    fn slot(&mut self, key: Option<i64>) -> u32 {
-        let keys = &mut self.keys;
-        let open = || {
-            keys.push(key);
-            (keys.len() - 1) as u32
-        };
-        match key {
-            Some(k) => *self.index.entry(k).or_insert_with(open),
-            None => *self.null.get_or_insert_with(open),
+/// A code no visited row has carried yet.
+const UNSEEN: u32 = u32::MAX;
+
+impl<'a> GroupSlots<'a> {
+    fn new(codes: &'a GroupCodes) -> Self {
+        GroupSlots {
+            codes,
+            remap: vec![UNSEEN; codes.keys().len()],
+            keys: Vec::new(),
         }
+    }
+
+    /// The slot of row `row`'s key, opening the next one on first sight.
+    #[inline]
+    fn slot(&mut self, row: u32) -> u32 {
+        let code = self.codes.codes()[row as usize] as usize;
+        let slot = &mut self.remap[code];
+        if *slot == UNSEEN {
+            *slot = self.keys.len() as u32;
+            self.keys.push(self.codes.keys()[code]);
+        }
+        *slot
     }
 
     /// Each slot's group key as a result-map key, in slot order.
@@ -746,22 +782,22 @@ fn finish_slots(
 /// its argument column over the `(slot, row)` pairs into one flat
 /// state arena. Groups are numbered in first-appearance order and each
 /// state still folds its rows in selection order, so every group and
-/// every accumulated bit match the per-row path. `key_col` is the
-/// integer GROUP BY column, or `None` for a global aggregate, whose
-/// one group exists even when nothing is selected.
+/// every accumulated bit match the per-row path. `key_col` holds the
+/// integer GROUP BY column's codes, or is `None` for a global
+/// aggregate, whose one group exists even when nothing is selected.
 fn fold_single_stream(
     plan: &QueryPlan,
     inputs: &[&ColumnBatch],
     sel: &[u32],
-    key_col: Option<IntKeyCol>,
+    key_col: Option<&GroupCodes>,
     fetches: &[AggFetch],
 ) -> WindowOutput {
     let n_aggs = fetches.len();
     let (keys, slots): (Vec<Row>, Vec<u32>) = match key_col {
         None => (vec![Row::new(Vec::new())], vec![0; sel.len()]),
-        Some(col) => {
-            let mut groups = GroupSlots::default();
-            let slots = sel.iter().map(|&r| groups.slot(col.get(r))).collect();
+        Some(codes) => {
+            let mut groups = GroupSlots::new(codes);
+            let slots = sel.iter().map(|&r| groups.slot(r)).collect();
             (groups.into_key_rows().collect(), slots)
         }
     };

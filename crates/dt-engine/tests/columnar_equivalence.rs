@@ -9,7 +9,7 @@
 //! conventions (AVG/MIN/MAX of an empty group) count as equal when —
 //! and only when — both paths produce the same bit pattern.
 
-use dt_engine::{execute_window_cols, execute_window_ref, WindowOutput};
+use dt_engine::{execute_window_cols, execute_window_ref, execute_window_rows, WindowOutput};
 use dt_query::{parse_select, Catalog, Planner, QueryPlan};
 use dt_types::{ColumnBatch, DataType, Row, Schema, Value};
 use proptest::prelude::*;
@@ -316,5 +316,150 @@ proptest! {
         // one global group still reports its empty-input values.
         let none = u_plan(&format!("SELECT {U_AGGS} FROM U WHERE f > {}", i64::MAX));
         check(&none, &[rows])?;
+    }
+}
+
+// Several queries closing one shared batch, as a window's fan-out does:
+// an integer GROUP BY reads its column's memoized group codes, which
+// the first query to group on that column computes and every later
+// one reuses. Each close must still equal the row reference, and equal
+// the same plan on a fresh batch down to group iteration order.
+
+/// `U(k, f, g, x)` as above plus `V(j)`, a join partner for `U.f`.
+fn uv_plan(sql: &str) -> QueryPlan {
+    let mut c = Catalog::new();
+    c.add_stream(
+        "U",
+        Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("f", DataType::Int),
+            ("g", DataType::Int),
+            ("x", DataType::Int),
+        ]),
+    );
+    c.add_stream("V", Schema::from_pairs(&[("j", DataType::Int)]));
+    Planner::new(&c).plan(&parse_select(sql).unwrap()).unwrap()
+}
+
+/// The output's groups (or rows) in iteration order.
+fn iteration_order(out: &WindowOutput) -> Vec<Row> {
+    match out {
+        WindowOutput::Rows(rows) => rows.clone(),
+        WindowOutput::Groups(g) => g.keys().cloned().collect(),
+    }
+}
+
+/// Close `plans` in sequence over one batch per stream of `tables`
+/// (`(stream, rows)`), checking each against [`execute_window_rows`]
+/// and against a fresh batch.
+fn check_shared(plans: &[QueryPlan], tables: &[(&str, Vec<Row>)]) -> Result<(), TestCaseError> {
+    let table = |name: &str| tables.iter().position(|(n, _)| *n == name).unwrap();
+    let arity = |name: &str| if name == "V" { 1 } else { 4 };
+    let shared: Vec<ColumnBatch> = tables
+        .iter()
+        .map(|(n, rows)| ColumnBatch::from_rows(arity(n), rows))
+        .collect();
+    for p in plans {
+        let at: Vec<usize> = p.streams.iter().map(|b| table(&b.stream)).collect();
+        let batches: Vec<&ColumnBatch> = at.iter().map(|&t| &shared[t]).collect();
+        let out = execute_window_cols(p, &batches).unwrap();
+        let rows: Vec<Vec<&Row>> = at.iter().map(|&t| tables[t].1.iter().collect()).collect();
+        assert_bit_identical(&out, &execute_window_rows(p, &rows).unwrap())?;
+        let fresh: Vec<Vec<Row>> = at.iter().map(|&t| tables[t].1.clone()).collect();
+        prop_assert_eq!(
+            iteration_order(&out),
+            iteration_order(&run_cols(p, &fresh)),
+            "a shared batch changed group order"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn plans_closing_one_shared_batch_are_bit_identical(
+        cells in arb_u_cells(300),
+        arg in 0usize..6,
+        ops in (0usize..6, 0usize..6),
+        lits in (0usize..5, 0usize..5),
+        first in 0usize..6,
+    ) {
+        let (o1, o2, l1, l2) = (OPS[ops.0], OPS[ops.1], EDGES[lits.0], EDGES[lits.1]);
+        let mut plans: Vec<QueryPlan> = [
+            format!("SELECT k, {U_AGGS} FROM U WHERE f {o1} {l1} GROUP BY k"),
+            "SELECT k, COUNT(*) FROM U GROUP BY k".to_string(),
+            format!("SELECT f, SUM(x), COUNT(*) FROM U WHERE g {o2} {l2} GROUP BY f"),
+            format!("SELECT g, MIN(x), AVG(x) FROM U WHERE {l1} {o2} k GROUP BY g"),
+            format!("SELECT {U_AGGS} FROM U WHERE f {o2} {l2}"),
+            "SELECT x, COUNT(*), MAX(x) FROM U GROUP BY x".to_string(),
+        ]
+        .iter()
+        .map(|sql| uv_plan(sql))
+        .collect();
+        // Vary which plan computes each column's codes.
+        plans.rotate_left(first);
+        check_shared(&plans, &[("U", u_rows(&cells, arg))])?;
+    }
+
+    #[test]
+    fn high_cardinality_keys_sharing_one_batch_are_bit_identical(
+        cells in arb_u_cells(300),
+        arg in 0usize..6,
+        op in 0usize..6,
+        lit in 0usize..5,
+    ) {
+        // Every key distinct: an odd multiplier is a bijection on i64,
+        // and rows 0 and 1 take the edges.
+        let mut rows = u_rows(&cells, arg);
+        for (i, row) in rows.iter_mut().enumerate() {
+            let mut vals = row.values().to_vec();
+            vals[0] = Value::Int(match i {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => (i as i64).wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64),
+            });
+            *row = Row::new(vals);
+        }
+        let plans: Vec<QueryPlan> = [
+            format!("SELECT k, {U_AGGS} FROM U WHERE f {} {} GROUP BY k", OPS[op], EDGES[lit]),
+            format!("SELECT k, COUNT(*) FROM U WHERE g {} {} GROUP BY k", OPS[op], EDGES[lit]),
+            "SELECT k, SUM(x) FROM U GROUP BY k".to_string(),
+        ]
+        .iter()
+        .map(|sql| uv_plan(sql))
+        .collect();
+        check_shared(&plans, &[("U", rows)])?;
+    }
+
+    #[test]
+    fn join_and_single_stream_grouping_one_column_are_bit_identical(
+        cells in arb_u_cells(60),
+        v in prop::collection::vec(0usize..6, 0..=8),
+        arg in 0usize..6,
+        op in 0usize..6,
+        lit in 0usize..5,
+        first in 0usize..5,
+    ) {
+        let v_rows: Vec<Row> = v
+            .iter()
+            .map(|&j| Row::new(vec![EDGES.get(j).map_or(Value::Null, |&j| Value::Int(j))]))
+            .collect();
+        let mut plans: Vec<QueryPlan> = [
+            format!("SELECT k, COUNT(*) FROM U WHERE g {} {} GROUP BY k", OPS[op], EDGES[lit]),
+            // Count-only: the inner level collapses to match counts.
+            "SELECT k, COUNT(*) FROM U, V WHERE U.f = V.j GROUP BY k".to_string(),
+            // Per-result fold into the slot arena.
+            "SELECT k, COUNT(*), SUM(x) FROM U, V WHERE U.f = V.j GROUP BY k".to_string(),
+            // The group column on the last stream.
+            "SELECT k, COUNT(*) FROM V, U WHERE V.j = U.f GROUP BY k".to_string(),
+            format!("SELECT k, AVG(x) FROM U, V WHERE U.f = V.j AND U.g {} {} GROUP BY k", OPS[op], EDGES[lit]),
+        ]
+        .iter()
+        .map(|sql| uv_plan(sql))
+        .collect();
+        plans.rotate_left(first);
+        check_shared(&plans, &[("U", u_rows(&cells, arg)), ("V", v_rows)])?;
     }
 }

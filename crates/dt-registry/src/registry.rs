@@ -381,10 +381,12 @@ impl QueryRegistry {
         inputs: WindowInputs<'_>,
     ) -> DtResult<Vec<(QueryId, QueryClose)>> {
         let n = self.streams.len();
-        if inputs.counts.len() != n {
+        let n_pairs = inputs.pairs.map_or(n, <[SynPair]>::len);
+        if inputs.counts.len() != n || inputs.rows.len() != n || n_pairs != n {
             return Err(DtError::config(format!(
-                "close_window got {} count streams, registry has {n}",
+                "close_window got {} count / {} row / {n_pairs} synopsis streams, registry has {n}",
                 inputs.counts.len(),
+                inputs.rows.len(),
             )));
         }
         self.emit_cursor.fetch_max(window + 1, Ordering::Relaxed);
@@ -643,6 +645,34 @@ mod tests {
             };
             let err = r.close_window(0, inputs).unwrap_err();
             assert!(matches!(err, DtError::Config(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn close_window_rejects_short_tables_before_moving_the_cursor() {
+        let r = registry();
+        r.register(QuerySpec::new("SELECT a, COUNT(*) FROM R GROUP BY a"))
+            .unwrap();
+        let (rows, pairs, counts) = sealed_inputs(&r, &[&[1], &[2]], &[&[], &[]]);
+        r.close_window(
+            0,
+            WindowInputs {
+                rows: &rows,
+                pairs: Some(&pairs),
+                counts: &counts,
+            },
+        )
+        .unwrap();
+        assert_eq!(r.emit_cursor(), 1);
+        for (rows, pairs) in [(&rows[..1], &pairs[..]), (&rows[..], &pairs[..1])] {
+            let inputs = WindowInputs {
+                rows,
+                pairs: Some(pairs),
+                counts: &counts,
+            };
+            let err = r.close_window(5, inputs).unwrap_err();
+            assert!(matches!(err, DtError::Config(_)), "{err}");
+            assert_eq!(r.emit_cursor(), 1, "a rejected close leaves the cursor");
         }
     }
 

@@ -20,6 +20,12 @@
 //! * a later value of a different type degrades that column to a
 //!   [`Column::is_mixed`] fallback holding verbatim [`Value`]s, which
 //!   the vectorized kernels decline (they fall back to the row path).
+//!
+//! An integer column also memoizes its [`GroupCodes`]: the dense
+//! numbering every GROUP BY over that column reads, computed on first
+//! use and shared by every query closing the same batch.
+
+use std::sync::OnceLock;
 
 use crate::hash::FxHashMap;
 use crate::row::Row;
@@ -44,6 +50,50 @@ enum ColData {
     Mixed(Vec<Value>),
 }
 
+/// The distinct keys of an integer (or all-NULL) column, numbered in
+/// first-appearance order over the whole column: `codes()[i]` is row
+/// `i`'s code and `keys()[code]` its key, with every NULL row sharing
+/// one code whose key is `None`. Built once per column by
+/// [`Column::group_codes`].
+#[derive(Debug, Clone)]
+pub struct GroupCodes {
+    codes: Vec<u32>,
+    keys: Vec<Option<i64>>,
+}
+
+impl GroupCodes {
+    /// Number `vals` (row `i` NULL where `mask[i] == false`).
+    fn number(vals: &[i64], mask: Option<&[bool]>) -> Self {
+        let mut index: FxHashMap<i64, u32> = FxHashMap::default();
+        let mut null: Option<u32> = None;
+        let mut keys: Vec<Option<i64>> = Vec::new();
+        let codes = (0..vals.len())
+            .map(|i| {
+                let key = mask.is_none_or(|m| m[i]).then(|| vals[i]);
+                let open = |keys: &mut Vec<Option<i64>>| {
+                    keys.push(key);
+                    (keys.len() - 1) as u32
+                };
+                match key {
+                    Some(k) => *index.entry(k).or_insert_with(|| open(&mut keys)),
+                    None => *null.get_or_insert_with(|| open(&mut keys)),
+                }
+            })
+            .collect();
+        GroupCodes { codes, keys }
+    }
+
+    /// One code per row, in row order.
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    /// The key of each code, in code (first-appearance) order.
+    pub fn keys(&self) -> &[Option<i64>] {
+        &self.keys
+    }
+}
+
 /// One column of a [`ColumnBatch`]: typed values plus an optional
 /// validity mask (`validity[i] == false` marks row `i` NULL; a `None`
 /// mask means no NULLs so far). Typed variants keep a placeholder
@@ -52,6 +102,8 @@ enum ColData {
 pub struct Column {
     data: ColData,
     validity: Option<Vec<bool>>,
+    /// Memoized [`Column::group_codes`]; every push clears it.
+    group_codes: OnceLock<GroupCodes>,
 }
 
 impl Column {
@@ -60,6 +112,7 @@ impl Column {
         Column {
             data: ColData::AllNull,
             validity: None,
+            group_codes: OnceLock::new(),
         }
     }
 
@@ -107,6 +160,24 @@ impl Column {
         }
     }
 
+    /// The column's [`GroupCodes`] when it is integer-typed or
+    /// all-NULL (`None` for float, string and mixed columns). Computed
+    /// by one hash pass on first call and cached until the next push,
+    /// so every query grouping on this column of one batch shares it.
+    pub fn group_codes(&self) -> Option<&GroupCodes> {
+        let number = || match &self.data {
+            ColData::Int(v) => GroupCodes::number(v, self.validity.as_deref()),
+            _ => GroupCodes {
+                codes: vec![0; self.len()],
+                keys: if self.is_empty() { vec![] } else { vec![None] },
+            },
+        };
+        match self.data {
+            ColData::Int(_) | ColData::AllNull => Some(self.group_codes.get_or_init(number)),
+            _ => None,
+        }
+    }
+
     /// True if row `i` holds a non-NULL value.
     ///
     /// # Panics
@@ -150,8 +221,25 @@ impl Column {
         }
     }
 
+    /// Reserve room for `additional` more rows in the typed vector
+    /// and the validity mask, if there is one.
+    fn reserve(&mut self, additional: usize) {
+        match &mut self.data {
+            ColData::AllNull => {}
+            ColData::Int(v) => v.reserve(additional),
+            ColData::Float(v) => v.reserve(additional),
+            ColData::Str { codes, .. } => codes.reserve(additional),
+            ColData::Mixed(v) => v.reserve(additional),
+        }
+        if let Some(mask) = &mut self.validity {
+            mask.reserve(additional);
+        }
+    }
+
     /// Append `v` as row `len` (the column's current length).
     fn push(&mut self, v: Value, len: usize) {
+        // A grown column must never serve the old rows' codes.
+        self.group_codes.take();
         match (&mut self.data, v) {
             // NULL: extend the mask and keep a placeholder payload so
             // the typed vector stays index-aligned.
@@ -261,10 +349,28 @@ impl ColumnBatch {
     }
 
     /// Build a batch of the given `arity` from rows (cloning values).
+    /// Equal to pushing each row with [`ColumnBatch::push_row`]; each
+    /// column reserves room for the remaining rows once its type is
+    /// fixed, and an integer into an unmasked integer column skips the
+    /// generic push.
     pub fn from_rows(arity: usize, rows: &[Row]) -> Self {
         let mut batch = ColumnBatch::new(arity);
-        for row in rows {
-            batch.push_row(row);
+        for (i, row) in rows.iter().enumerate() {
+            for (c, col) in batch.columns.iter_mut().enumerate() {
+                let v = row.get(c);
+                if let (ColData::Int(vals), None, Some(&Value::Int(x))) =
+                    (&mut col.data, &col.validity, v)
+                {
+                    vals.push(x);
+                    continue;
+                }
+                let untyped = col.is_all_null();
+                col.push(v.cloned().unwrap_or(Value::Null), i);
+                if untyped && !col.is_all_null() {
+                    col.reserve(rows.len() - i - 1);
+                }
+            }
+            batch.len += 1;
         }
         batch
     }
@@ -445,6 +551,71 @@ mod tests {
         }
         assert_eq!(a.to_rows(), b.to_rows());
         assert_eq!(a.to_rows(), rows);
+    }
+
+    #[test]
+    fn group_codes_number_keys_in_first_appearance_order() {
+        let rows = vec![
+            v(vec![Value::Int(5)]),
+            v(vec![Value::Null]),
+            v(vec![Value::Int(-1)]),
+            v(vec![Value::Int(5)]),
+            v(vec![Value::Null]),
+        ];
+        let b = ColumnBatch::from_rows(1, &rows);
+        let gc = b.column(0).unwrap().group_codes().unwrap();
+        assert_eq!(gc.codes(), &[0, 1, 2, 0, 1]);
+        assert_eq!(gc.keys(), &[Some(5), None, Some(-1)]);
+        // All-NULL columns share one code; non-integer columns have none.
+        let nulls = ColumnBatch::from_rows(1, &[v(vec![Value::Null]), v(vec![Value::Null])]);
+        let gc = nulls.column(0).unwrap().group_codes().unwrap();
+        assert_eq!((gc.codes(), gc.keys()), (&[0, 0][..], &[None][..]));
+        let floats = ColumnBatch::from_rows(1, &[v(vec![Value::Float(1.0)])]);
+        assert!(floats.column(0).unwrap().group_codes().is_none());
+        assert!(ColumnBatch::new(1)
+            .column(0)
+            .unwrap()
+            .group_codes()
+            .unwrap()
+            .keys()
+            .is_empty());
+    }
+
+    #[test]
+    fn group_codes_see_rows_pushed_after_a_read() {
+        let mut b = ColumnBatch::from_rows(1, &[Row::from_ints(&[3]), Row::from_ints(&[4])]);
+        assert_eq!(b.column(0).unwrap().group_codes().unwrap().codes(), &[0, 1]);
+        b.push_row(&Row::from_ints(&[9]));
+        b.push_row_owned(Row::from_ints(&[3]));
+        let gc = b.column(0).unwrap().group_codes().unwrap();
+        assert_eq!(gc.codes(), &[0, 1, 2, 0]);
+        assert_eq!(gc.keys(), &[Some(3), Some(4), Some(9)]);
+        // A NULL pushed later also shows, as its own code.
+        b.push_row(&v(vec![Value::Null]));
+        let gc = b.column(0).unwrap().group_codes().unwrap();
+        assert_eq!(gc.codes(), &[0, 1, 2, 0, 3]);
+        assert_eq!(gc.keys(), &[Some(3), Some(4), Some(9), None]);
+    }
+
+    #[test]
+    fn from_rows_matches_push_row_on_every_shape() {
+        let rows = vec![
+            v(vec![Value::Null, Value::Int(1), Value::Int(2)]),
+            v(vec![Value::Int(3), Value::Null, Value::Str("x".into())]),
+            v(vec![Value::Int(4), Value::Int(5)]),
+            v(vec![Value::Int(6), Value::Int(7), Value::Float(0.5)]),
+        ];
+        let mut pushed = ColumnBatch::new(3);
+        for r in &rows {
+            pushed.push_row(r);
+        }
+        let built = ColumnBatch::from_rows(3, &rows);
+        assert_eq!(built.to_rows(), pushed.to_rows());
+        for c in 0..3 {
+            let (a, b) = (built.column(c).unwrap(), pushed.column(c).unwrap());
+            assert_eq!(a.ints(), b.ints());
+            assert_eq!(a.is_mixed(), b.is_mixed());
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod time;
 pub mod value;
 pub mod window;
 
-pub use batch::{Column, ColumnBatch};
+pub use batch::{Column, ColumnBatch, GroupCodes};
 pub use clock::{Clock, MonotonicClock, VirtualClock};
 pub use error::{line_col_at, DtError, DtResult};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
