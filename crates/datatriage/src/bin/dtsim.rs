@@ -18,7 +18,7 @@
 //!                       controller and keep window results within MS
 //!                       milliseconds of window close (default: off)
 //!   --synopsis SPEC     sparse:W | mhist:B | mhist-aligned:B,G |
-//!                       reservoir:C | wavelet:B (default sparse:10)
+//!                       reservoir:C (default sparse:10)
 //!   --policy P          random | front | newest | synergistic
 //!   --window SECS       window width in seconds (default: scale to
 //!                       600 tuples/window)
@@ -224,10 +224,6 @@ fn parse_synopsis(spec: &str, seed: u64) -> Result<SynopsisConfig, String> {
         "reservoir" => SynopsisConfig::Reservoir {
             capacity: int(params)? as usize,
             seed,
-        },
-        "wavelet" => SynopsisConfig::Wavelet {
-            budget: int(params)? as usize,
-            domain: 128,
         },
         other => return Err(format!("unknown synopsis kind '{other}'")),
     })
@@ -581,13 +577,6 @@ mod tests {
             SynopsisConfig::Reservoir {
                 capacity: 200,
                 seed: 7
-            }
-        );
-        assert_eq!(
-            parse_synopsis("wavelet:32", 0).unwrap(),
-            SynopsisConfig::Wavelet {
-                budget: 32,
-                domain: 128
             }
         );
         assert!(parse_synopsis("zipf:3", 0).is_err());

@@ -37,14 +37,6 @@ fn main() {
             capacity: 400,
             seed: 0,
         },
-        SynopsisConfig::Wavelet {
-            budget: 16,
-            domain: 128,
-        },
-        SynopsisConfig::Wavelet {
-            budget: 64,
-            domain: 128,
-        },
         SynopsisConfig::AdaptiveSparse {
             base_width: 1,
             max_cells: 50,

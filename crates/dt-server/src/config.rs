@@ -84,9 +84,7 @@ pub struct ServerConfig {
     /// with its own bounded queue and synopsis pair, with batch
     /// work-stealing under skew. `1` (the default) is the classic
     /// single-worker plane; sealed output is bit-identical at every
-    /// shard count. Values above 1 require a synopsis kind that
-    /// supports partition merging (everything except `Wavelet` and
-    /// `AdaptiveSparse`).
+    /// shard count, for every synopsis kind.
     pub shards: usize,
 }
 
@@ -129,12 +127,10 @@ impl ServerConfig {
                 "shards must be >= 1 (one worker per stream is the minimum)",
             ));
         }
-        if self.shards > 1 && self.mode.uses_synopses() && !self.synopsis.supports_merge() {
-            return Err(DtError::config(format!(
-                "synopsis kind {:?} does not support sharded merging; use shards = 1 \
-                 or a mergeable synopsis (sparse, mhist, reservoir)",
-                self.synopsis
-            )));
+        // One synopsis per catalog stream: a bad synopsis setting (say,
+        // an adaptive budget below 2^arity) fails here, not per window.
+        for (_, schema) in self.catalog.streams() {
+            self.synopsis.build_mergeable(schema.arity())?;
         }
         let plans: Vec<QueryPlan> = self
             .queries
@@ -199,14 +195,30 @@ mod tests {
         cfg.shards = 0;
         assert!(cfg.compile().is_err());
         cfg.shards = 4;
-        assert!(cfg.compile().is_ok(), "sparse synopses merge");
-        cfg.synopsis = SynopsisConfig::Wavelet {
-            budget: 16,
-            domain: 64,
+        for synopsis in [
+            SynopsisConfig::default_sparse(),
+            SynopsisConfig::MHist {
+                max_buckets: 8,
+                alignment: Some(10),
+            },
+            SynopsisConfig::Reservoir {
+                capacity: 16,
+                seed: 1,
+            },
+            SynopsisConfig::AdaptiveSparse {
+                base_width: 1,
+                max_cells: 2,
+            },
+        ] {
+            cfg.synopsis = synopsis;
+            assert!(cfg.compile().is_ok(), "{} merges", synopsis.label());
+        }
+        // A budget below one cell per orthant fails at compile time.
+        cfg.synopsis = SynopsisConfig::AdaptiveSparse {
+            base_width: 1,
+            max_cells: 1,
         };
-        assert!(cfg.compile().is_err(), "wavelets cannot merge partitions");
-        cfg.shards = 1;
-        assert!(cfg.compile().is_ok(), "unsharded wavelets still run");
+        assert!(cfg.compile().is_err());
     }
 
     #[test]

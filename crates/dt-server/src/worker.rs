@@ -82,16 +82,9 @@ pub(crate) struct TriageFactory {
 
 impl TriageFactory {
     pub(crate) fn build(&self) -> StreamTriage {
-        let t = StreamTriage::new(self.stream, self.arity, self.mode, self.synopsis, self.spec)
-            .with_metrics(&self.metrics, &self.name);
-        if self.mode.uses_synopses() && !self.synopsis.supports_merge() {
-            // Non-mergeable synopsis kinds (wavelet, adaptive sparse)
-            // run the classic sealed-at-seal plane; config validation
-            // pins them to a single shard.
-            t
-        } else {
-            t.sharded(self.shard)
-        }
+        StreamTriage::new(self.stream, self.arity, self.mode, self.synopsis, self.spec)
+            .with_metrics(&self.metrics, &self.name)
+            .sharded(self.shard)
     }
 }
 

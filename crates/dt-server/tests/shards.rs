@@ -21,10 +21,10 @@ fn catalog() -> Catalog {
     c
 }
 
-fn config(shards: usize) -> ServerConfig {
+fn config(shards: usize, synopsis: SynopsisConfig) -> ServerConfig {
     let mut cfg = ServerConfig::new(QUERY, catalog());
     cfg.window = Some(VDuration::from_secs(1));
-    cfg.synopsis = SynopsisConfig::Sparse { cell_width: 5 };
+    cfg.synopsis = synopsis;
     cfg.channel_capacity = 4096;
     cfg.shards = shards;
     // Unpaced, with the virtual clock parked at zero: workers consume
@@ -37,8 +37,8 @@ fn config(shards: usize) -> ServerConfig {
 
 /// Run the same in-process workload through a `shards`-wide worker
 /// group and render the final report.
-fn run_report(shards: usize) -> String {
-    let cfg = config(shards);
+fn run_report(shards: usize, synopsis: SynopsisConfig) -> String {
+    let cfg = config(shards, synopsis);
     let clock = Arc::new(VirtualClock::new());
     let server = Server::start(&cfg, None, clock).expect("server starts");
     let handle = server.handle();
@@ -62,12 +62,27 @@ fn run_report(shards: usize) -> String {
 }
 
 /// A 4-shard group's report — windows, per-group aggregates, synopsis
-/// masses, counters — is byte-identical to the single-worker plane's.
+/// masses, counters — is byte-identical to the single-worker plane's,
+/// for a fixed grid and for an adaptive one whose 2-cell budget the 7
+/// keys force to coarsen.
 #[test]
 fn sharded_report_is_bit_identical_to_single_worker() {
-    let single = run_report(1);
-    let sharded = run_report(4);
-    assert_eq!(single, sharded, "shards=4 diverged from shards=1");
+    for synopsis in [
+        SynopsisConfig::Sparse { cell_width: 5 },
+        SynopsisConfig::AdaptiveSparse {
+            base_width: 1,
+            max_cells: 2,
+        },
+    ] {
+        let single = run_report(1, synopsis);
+        let sharded = run_report(4, synopsis);
+        assert_eq!(
+            single,
+            sharded,
+            "{}: shards=4 diverged from shards=1",
+            synopsis.label()
+        );
+    }
 }
 
 /// Adversarial single-key skew routes every tuple to one shard; the
@@ -78,7 +93,7 @@ fn sharded_report_is_bit_identical_to_single_worker() {
 #[test]
 fn steals_under_skew_conserve_every_tuple() {
     const N: u64 = 30_000;
-    let mut cfg = config(4);
+    let mut cfg = config(4, SynopsisConfig::Sparse { cell_width: 5 });
     cfg.metrics = MetricsRegistry::new();
     let clock = Arc::new(VirtualClock::new());
     let server = Server::start(&cfg, Some("127.0.0.1:0"), clock).expect("server starts");

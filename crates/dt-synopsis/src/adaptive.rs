@@ -13,6 +13,16 @@
 //! coarsened differently can always be *harmonized* — the finer one
 //! coarsened to the coarser width — before a binary operation;
 //! [`crate::Synopsis`]'s operators do this automatically.
+//!
+//! The final state does not depend on insertion order, which is what
+//! lets sharded triage merge per-shard partials
+//! ([`AdaptiveSparse::merge_from`]). Write `cells(S, k)` for the
+//! occupied cells of point set `S` at width `base × 2^k`: it grows with
+//! `S` and never grows with `k`, so on-line inserts stop at the least
+//! `k` with `cells(S, k) ≤ budget`, every subset's level is at most
+//! that, and a merge that coarsens while over budget stops exactly
+//! there. Masses are integer counts (exact in `f64`) in a `BTreeMap`,
+//! so the merged histogram equals the single-writer one bit for bit.
 
 use dt_types::{DtError, DtResult};
 
@@ -29,9 +39,19 @@ pub struct AdaptiveSparse {
 impl AdaptiveSparse {
     /// An adaptive histogram over `dims` dimensions starting at
     /// `base_width` and never exceeding `max_cells` occupied cells.
+    ///
+    /// # Errors
+    /// Errors unless `max_cells ≥ 2^dims`: coarsening never merges
+    /// cells on opposite sides of 0, so the coarsest grid keeps one
+    /// cell per occupied orthant, and a smaller budget could never be
+    /// met.
     pub fn new(dims: usize, base_width: i64, max_cells: usize) -> DtResult<Self> {
-        if max_cells == 0 {
-            return Err(DtError::synopsis("cell budget must be >= 1"));
+        let orthants = u32::try_from(dims).ok().and_then(|d| 1usize.checked_shl(d));
+        if orthants.is_none_or(|o| o > max_cells) {
+            return Err(DtError::synopsis(format!(
+                "cell budget {max_cells} is below 2^{dims}: the coarsest grid keeps one \
+                 cell per occupied orthant"
+            )));
         }
         Ok(AdaptiveSparse {
             hist: SparseHist::new(dims, base_width)?,
@@ -72,6 +92,33 @@ impl AdaptiveSparse {
     /// Insert one tuple, coarsening as needed to respect the budget.
     pub fn insert(&mut self, point: &[i64]) -> DtResult<()> {
         self.hist.insert(point)?;
+        self.fit_budget()
+    }
+
+    /// Fold another partial histogram into this one: harmonize the two
+    /// grids, add the cell masses, then coarsen while over budget. The
+    /// result equals one histogram that saw both point sets (module
+    /// docs), whatever the split or merge order.
+    ///
+    /// # Errors
+    /// Errors if the budgets or dimensions differ, or neither width is
+    /// a multiple of the other.
+    pub fn merge_from(&mut self, other: &AdaptiveSparse) -> DtResult<()> {
+        if self.max_cells != other.max_cells {
+            return Err(DtError::synopsis(
+                "cannot merge adaptive histograms with different cell budgets",
+            ));
+        }
+        let (mine, theirs) = SparseHist::harmonize(&self.hist, &other.hist)?;
+        let mut hist = mine.into_owned();
+        hist.merge_from(&theirs)?;
+        self.hist = hist;
+        self.fit_budget()
+    }
+
+    /// Coarsen 2× until the occupied cells fit the budget. Terminates:
+    /// `new` guarantees the budget admits one cell per orthant.
+    fn fit_budget(&mut self) -> DtResult<()> {
         while self.hist.num_cells() > self.max_cells {
             self.hist = self.hist.coarsen(2)?;
         }
@@ -125,13 +172,42 @@ mod tests {
     }
 
     #[test]
-    fn budget_of_one_degenerates_to_a_counter() {
-        let mut a = AdaptiveSparse::new(1, 1, 1).unwrap();
-        for v in [1i64, 50, 99, 3] {
+    fn budget_below_one_cell_per_orthant_is_rejected() {
+        // Cells either side of 0 never merge: with a budget of 1, the
+        // inserts [-1] then [0] would coarsen until the width overflows.
+        let err = AdaptiveSparse::new(1, 1, 1).unwrap_err();
+        assert!(err.to_string().contains("orthant"), "{err}");
+        assert!(AdaptiveSparse::new(2, 1, 3).is_err());
+        assert!(AdaptiveSparse::new(64, 1, usize::MAX).is_err());
+        let mut a = AdaptiveSparse::new(1, 1, 2).unwrap();
+        for v in [-1i64, 0, 99, -50] {
             a.insert(&[v]).unwrap();
         }
-        assert_eq!(a.num_cells(), 1);
+        assert_eq!(a.num_cells(), 2);
         assert_eq!(a.total_mass(), 4.0);
+    }
+
+    #[test]
+    fn merge_matches_single_writer_and_checks_budgets() {
+        let points: Vec<i64> = (0..60).map(|i| (i * 37 % 90) - 45).collect();
+        let mut single = AdaptiveSparse::new(1, 1, 6).unwrap();
+        let mut left = AdaptiveSparse::new(1, 1, 6).unwrap();
+        let mut right = AdaptiveSparse::new(1, 1, 6).unwrap();
+        for &v in &points {
+            single.insert(&[v]).unwrap();
+            // Skewed split: the left part stays at a finer width.
+            let part = if (0..4).contains(&v) {
+                &mut left
+            } else {
+                &mut right
+            };
+            part.insert(&[v]).unwrap();
+        }
+        assert!(left.current_width() < right.current_width());
+        left.merge_from(&right).unwrap();
+        assert_eq!(left, single);
+        let other_budget = AdaptiveSparse::new(1, 1, 7).unwrap();
+        assert!(left.merge_from(&other_budget).is_err());
     }
 
     #[test]

@@ -24,25 +24,26 @@
 //! * [`ReservoirSample`] — a uniform reservoir sample with a scale
 //!   factor, included as the §8.1 "additional synopsis type" and as an
 //!   ablation baseline.
-//! * [`WaveletSynopsis`] — a thresholded orthonormal Haar transform of
-//!   the window's frequency grid (the wavelet line of the paper's
-//!   related work), used as a compression format whose relational
-//!   operations run on the reconstructed grid.
+//! * [`AdaptiveSparse`] — a sparse histogram that coarsens its grid 2×
+//!   whenever it would exceed a cell budget: the only structure with a
+//!   memory bound, and the "adaptive" of the title applied to synopsis
+//!   resolution.
 //!
 //! All structures are wrapped by the [`Synopsis`] enum, which exposes
 //! the closed set of operations the shadow query plan needs: `insert`,
 //! `project`, `union_all`, `equijoin`, `select_range`, and grouped
 //! count/sum estimation. Binary operations require both operands to be
 //! the same structure (as in the paper, where each run picks one
-//! synopsis datatype).
+//! synopsis datatype); sparse and adaptive grids mix, on the coarser
+//! of their widths.
 //!
 //! Sharded execution (DESIGN.md §15) adds a second axis: *tagged*
 //! inserts ([`Synopsis::insert_tagged`]) carry per-stream arrival
 //! sequence numbers, and [`Synopsis::merge_from`] folds per-shard
 //! partial synopses into one that is bit-identical to a single-writer
-//! synopsis — exactly for sparse grids, MHISTs, and mergeable
-//! reservoirs; wavelet and adaptive-sparse synopses are rejected
-//! ([`SynopsisConfig::supports_merge`]).
+//! synopsis — for every kind: sparse and adaptive grids by cell-mass
+//! addition, MHISTs by tag order, reservoirs built by
+//! [`SynopsisConfig::build_mergeable`] by bottom-k union.
 
 #![deny(missing_docs)]
 
@@ -51,11 +52,9 @@ pub mod mhist;
 pub mod reservoir;
 pub mod sparse;
 pub mod synopsis;
-pub mod wavelet;
 
 pub use adaptive::AdaptiveSparse;
 pub use mhist::{MHist, MHistConfig};
 pub use reservoir::ReservoirSample;
 pub use sparse::SparseHist;
 pub use synopsis::{GroupEstimate, Synopsis, SynopsisConfig};
-pub use wavelet::WaveletSynopsis;

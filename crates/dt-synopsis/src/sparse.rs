@@ -14,6 +14,7 @@
 //! arbitrary rectangles, which is what makes unconstrained MHIST joins
 //! quadratic (see paper §5.2.2 and `crate::mhist`).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use dt_types::FxHashMap;
@@ -422,12 +423,42 @@ impl SparseHist {
         if factor == 1 {
             return Ok(self.clone());
         }
-        let mut out = SparseHist::new(self.dims, self.cell_width * factor)?;
+        let width = self
+            .cell_width
+            .checked_mul(factor)
+            .ok_or_else(|| DtError::synopsis("coarsened cell width overflows i64"))?;
+        let mut out = SparseHist::new(self.dims, width)?;
         for (coords, mass) in self.iter_cells() {
             let c: Box<[i64]> = coords.iter().map(|&v| v.div_euclid(factor)).collect();
             out.add_cell(c, mass);
         }
         Ok(out)
+    }
+
+    /// Bring two histograms onto one grid: the finer is coarsened to
+    /// the coarser width, the other is borrowed as is. Exact when the
+    /// widths divide, which holds for adaptive histograms sharing a
+    /// base width (theirs are `base × 2^k`).
+    ///
+    /// # Errors
+    /// Errors if neither width is a multiple of the other.
+    pub(crate) fn harmonize<'a, 'b>(
+        a: &'a SparseHist,
+        b: &'b SparseHist,
+    ) -> DtResult<(Cow<'a, SparseHist>, Cow<'b, SparseHist>)> {
+        let (wa, wb) = (a.cell_width, b.cell_width);
+        let (fine_w, coarse_w) = (wa.min(wb), wa.max(wb));
+        if coarse_w % fine_w != 0 {
+            return Err(DtError::synopsis(format!(
+                "cannot harmonize grids of widths {fine_w} and {coarse_w} (not integer multiples)"
+            )));
+        }
+        let factor = coarse_w / fine_w;
+        Ok(if wa < wb {
+            (Cow::Owned(a.coarsen(factor)?), Cow::Borrowed(b))
+        } else {
+            (Cow::Borrowed(a), Cow::Owned(b.coarsen(factor)?))
+        })
     }
 
     /// Cross product ×: cell pairs concatenate, masses multiply.
@@ -682,6 +713,7 @@ mod tests {
         // Identity and error cases.
         assert_eq!(h.coarsen(1).unwrap(), h);
         assert!(h.coarsen(0).is_err());
+        assert!(h.coarsen(i64::MAX).is_err(), "width overflow errs");
     }
 
     #[test]

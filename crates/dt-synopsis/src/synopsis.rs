@@ -4,10 +4,13 @@
 //! The paper implements synopses as an object-relational datatype with
 //! user-defined functions (`project`, `union_all`, `equijoin`, …) and
 //! evaluates the shadow query as SQL over that datatype. Our analog is
-//! this enum: one closed set of operations, three interchangeable
+//! this enum: one closed set of operations, four interchangeable
 //! structures, chosen per run by [`SynopsisConfig`]. Binary operations
 //! require both operands to share a structure (each experiment picks
-//! one synopsis datatype, as in the paper).
+//! one synopsis datatype, as in the paper); sparse and adaptive grids
+//! mix, on the coarser of their widths.
+
+use std::borrow::Cow;
 
 use dt_types::FxHashMap;
 
@@ -17,7 +20,6 @@ use crate::adaptive::AdaptiveSparse;
 use crate::mhist::{MHist, MHistConfig};
 use crate::reservoir::ReservoirSample;
 use crate::sparse::SparseHist;
-use crate::wavelet::WaveletSynopsis;
 
 /// Estimated per-group aggregate values, keyed by the (integer) group
 /// value.
@@ -47,25 +49,15 @@ pub enum SynopsisConfig {
         /// RNG seed for deterministic eviction.
         seed: u64,
     },
-    /// Thresholded Haar-wavelet synopsis (§8.1 / the wavelet line of
-    /// related work). Binary operations *lower* wavelet operands to
-    /// their reconstructed width-1 sparse grids, so results of shadow
-    /// plans over wavelet leaves come back as `Sparse`.
-    Wavelet {
-        /// Retained coefficients per synopsis.
-        budget: usize,
-        /// Power-of-two domain size per dimension.
-        domain: usize,
-    },
     /// Memory-bounded adaptive sparse histogram: starts at
     /// `base_width` and coarsens 2× whenever it would exceed
     /// `max_cells` occupied cells. Binary operations harmonize grids
     /// automatically (the finer operand is coarsened to the coarser
-    /// width).
+    /// width), and so does [`Synopsis::merge_from`].
     AdaptiveSparse {
         /// Initial cell width.
         base_width: i64,
-        /// Occupied-cell budget per synopsis.
+        /// Occupied-cell budget per synopsis; at least `2^dims`.
         max_cells: usize,
     },
 }
@@ -96,9 +88,6 @@ impl SynopsisConfig {
             SynopsisConfig::Reservoir { capacity, seed } => {
                 Synopsis::Reservoir(ReservoirSample::new(dims, capacity, seed)?)
             }
-            SynopsisConfig::Wavelet { budget, domain } => {
-                Synopsis::Wavelet(WaveletSynopsis::new(dims, domain, budget)?)
-            }
             SynopsisConfig::AdaptiveSparse {
                 base_width,
                 max_cells,
@@ -110,33 +99,15 @@ impl SynopsisConfig {
     /// like [`SynopsisConfig::build`], but reservoirs come up in
     /// tagged bottom-k mode (see
     /// [`ReservoirSample::new_mergeable`]) so per-shard partials can
-    /// be folded exactly at seal. Sparse and MHIST synopses are
-    /// already merge-capable and build identically. Errors for
-    /// synopsis kinds that cannot merge (wavelet, adaptive-sparse).
+    /// be folded exactly at seal. Every other kind is already
+    /// merge-capable and builds identically.
     pub fn build_mergeable(&self, dims: usize) -> DtResult<Synopsis> {
         match *self {
             SynopsisConfig::Reservoir { capacity, seed } => Ok(Synopsis::Reservoir(
                 ReservoirSample::new_mergeable(dims, capacity, seed)?,
             )),
-            SynopsisConfig::Wavelet { .. } | SynopsisConfig::AdaptiveSparse { .. } => {
-                Err(DtError::synopsis(format!(
-                    "synopsis kind '{}' does not support sharded merging",
-                    self.label()
-                )))
-            }
             _ => self.build(dims),
         }
-    }
-
-    /// Can partial synopses of this kind be merged exactly
-    /// ([`Synopsis::merge_from`])? Wavelet and adaptive-sparse
-    /// synopses are order-sensitive in ways no tag can undo (on-line
-    /// coarsening, threshold ties), so sharded execution rejects them.
-    pub fn supports_merge(&self) -> bool {
-        !matches!(
-            self,
-            SynopsisConfig::Wavelet { .. } | SynopsisConfig::AdaptiveSparse { .. }
-        )
     }
 
     /// A short human-readable label, used in experiment output.
@@ -152,9 +123,6 @@ impl SynopsisConfig {
                 alignment: Some(g),
             } => format!("mhist-aligned(b={max_buckets},g={g})"),
             SynopsisConfig::Reservoir { capacity, .. } => format!("reservoir(c={capacity})"),
-            SynopsisConfig::Wavelet { budget, domain } => {
-                format!("wavelet(b={budget},n={domain})")
-            }
             SynopsisConfig::AdaptiveSparse {
                 base_width,
                 max_cells,
@@ -177,8 +145,6 @@ pub enum Synopsis {
     MHist(MHist),
     /// See [`ReservoirSample`].
     Reservoir(ReservoirSample),
-    /// See [`WaveletSynopsis`].
-    Wavelet(WaveletSynopsis),
     /// See [`AdaptiveSparse`].
     Adaptive(AdaptiveSparse),
 }
@@ -190,7 +156,6 @@ impl Synopsis {
             Synopsis::Sparse(s) => s.dims(),
             Synopsis::MHist(m) => m.dims(),
             Synopsis::Reservoir(r) => r.dims(),
-            Synopsis::Wavelet(w) => w.dims(),
             Synopsis::Adaptive(a) => a.dims(),
         }
     }
@@ -201,7 +166,6 @@ impl Synopsis {
             Synopsis::Sparse(s) => s.total_mass(),
             Synopsis::MHist(m) => m.total_mass(),
             Synopsis::Reservoir(r) => r.total_mass(),
-            Synopsis::Wavelet(w) => w.total_mass(),
             Synopsis::Adaptive(a) => a.total_mass(),
         }
     }
@@ -212,7 +176,6 @@ impl Synopsis {
             Synopsis::Sparse(s) => s.is_empty(),
             Synopsis::MHist(m) => m.is_empty(),
             Synopsis::Reservoir(r) => r.is_empty(),
-            Synopsis::Wavelet(w) => w.is_empty(),
             Synopsis::Adaptive(a) => a.is_empty(),
         }
     }
@@ -224,7 +187,6 @@ impl Synopsis {
             Synopsis::Sparse(s) => s.num_cells(),
             Synopsis::MHist(m) => m.num_buckets(),
             Synopsis::Reservoir(r) => r.num_rows(),
-            Synopsis::Wavelet(w) => w.retained_coefficients().max(1),
             Synopsis::Adaptive(a) => a.num_cells(),
         }
     }
@@ -235,7 +197,6 @@ impl Synopsis {
             Synopsis::Sparse(s) => s.insert(point),
             Synopsis::MHist(m) => m.insert(point),
             Synopsis::Reservoir(r) => r.insert(point),
-            Synopsis::Wavelet(w) => w.insert(point),
             Synopsis::Adaptive(a) => a.insert(point),
         }
     }
@@ -257,12 +218,6 @@ impl Synopsis {
                 }
                 Ok(())
             }
-            Synopsis::Wavelet(w) => {
-                for p in points {
-                    w.insert(p)?;
-                }
-                Ok(())
-            }
             Synopsis::Adaptive(a) => {
                 for p in points {
                     a.insert(p)?;
@@ -276,10 +231,11 @@ impl Synopsis {
     /// dimension `d` of point `i`. Bit-identical to one
     /// [`Synopsis::insert`] per transposed point, in row order.
     ///
-    /// Sparse and MHIST dispatch to their vectorized column kernels;
-    /// reservoir, wavelet, and adaptive synopses are order-sensitive
-    /// (RNG eviction / on-line coarsening) and replay the points
-    /// row-by-row instead.
+    /// Sparse and MHIST dispatch to their vectorized column kernels.
+    /// Reservoirs replay the points row by row because RNG eviction is
+    /// order-sensitive; adaptive histograms do too, not for order (their
+    /// final state is order-free) but so the cell budget holds after
+    /// every point.
     pub fn insert_columns(&mut self, cols: &[Vec<i64>]) -> DtResult<()> {
         match self {
             Synopsis::Sparse(s) => s.insert_columns(cols),
@@ -305,8 +261,8 @@ impl Synopsis {
     /// per-stream ingest sequence). Tags are what make partial
     /// synopses mergeable: MHIST records them to restore global
     /// insertion order at merge, mergeable reservoirs hash them into
-    /// retention priorities, and the order-free structures (sparse
-    /// grids) ignore them — for those this is exactly
+    /// retention priorities, and the order-free structures (sparse and
+    /// adaptive grids) ignore them — for those this is exactly
     /// [`Synopsis::insert`].
     pub fn insert_tagged(&mut self, point: &[i64], tag: u64) -> DtResult<()> {
         match self {
@@ -348,20 +304,16 @@ impl Synopsis {
     /// seal, in shard order; the merged result is bit-identical to a
     /// single synopsis that saw every tuple, provided inserts carried
     /// the per-stream sequence tags ([`Synopsis::insert_tagged`]).
-    /// Sparse grids merge by cell-mass addition (order-free), MHISTs
-    /// by tag-sorted point-buffer concatenation, mergeable reservoirs
-    /// by bottom-k union. Wavelet and adaptive-sparse synopses error —
-    /// server configs reject them for sharded runs up front
-    /// ([`SynopsisConfig::supports_merge`]).
+    /// Sparse grids merge by cell-mass addition (order-free), adaptive
+    /// grids likewise after harmonizing widths and then coarsen back
+    /// under budget, MHISTs by tag-sorted point-buffer concatenation,
+    /// mergeable reservoirs by bottom-k union.
     pub fn merge_from(&mut self, other: &Synopsis) -> DtResult<()> {
         match (self, other) {
             (Synopsis::Sparse(a), Synopsis::Sparse(b)) => a.merge_from(b),
             (Synopsis::MHist(a), Synopsis::MHist(b)) => a.merge_from(b),
             (Synopsis::Reservoir(a), Synopsis::Reservoir(b)) => a.merge_from(b),
-            (a, b) if a.kind_name() == b.kind_name() => Err(DtError::synopsis(format!(
-                "synopsis kind '{}' does not support merging",
-                b.kind_name()
-            ))),
+            (Synopsis::Adaptive(a), Synopsis::Adaptive(b)) => a.merge_from(b),
             (a, b) => Err(Self::kind_mismatch("merge_from", a, b)),
         }
     }
@@ -369,56 +321,31 @@ impl Synopsis {
     /// Finalize the synopsis at a window boundary. For MHIST this runs
     /// MAXDIFF partitioning; for the other structures it is a no-op.
     pub fn seal(&mut self) {
+        if let Synopsis::MHist(m) = self {
+            m.freeze();
+        }
+    }
+
+    /// The grid histogram behind a sparse or adaptive synopsis. The
+    /// relational operations run on it, so their results are `Sparse`.
+    fn grid(&self) -> Option<&SparseHist> {
         match self {
-            Synopsis::MHist(m) => m.freeze(),
-            Synopsis::Wavelet(w) => w.freeze(),
-            _ => {}
+            Synopsis::Sparse(s) => Some(s),
+            Synopsis::Adaptive(a) => Some(a.as_sparse()),
+            _ => None,
         }
     }
 
-    /// Lower a wavelet operand to its reconstructed width-1 sparse
-    /// grid; other kinds pass through. Relational operations call this
-    /// first, so wavelet synopses compose with the whole shadow-plan
-    /// machinery (results come back as `Sparse`).
-    fn lowered(&self) -> Synopsis {
-        match self {
-            Synopsis::Wavelet(w) => Synopsis::Sparse(w.reconstructed()),
-            Synopsis::Adaptive(a) => Synopsis::Sparse(a.as_sparse().clone()),
-            other => other.clone(),
-        }
-    }
-
-    /// Must this operand be lowered to a plain sparse histogram before
-    /// a binary operation?
-    fn needs_lowering(&self) -> bool {
-        matches!(self, Synopsis::Wavelet(_) | Synopsis::Adaptive(_))
-    }
-
-    /// Bring two sparse histograms onto one grid: the finer is
-    /// coarsened to the coarser width (exact when the widths divide,
-    /// which holds for adaptive synopses sharing a base width).
-    fn harmonize(
-        a: crate::sparse::SparseHist,
-        b: crate::sparse::SparseHist,
-    ) -> DtResult<(crate::sparse::SparseHist, crate::sparse::SparseHist)> {
-        let (wa, wb) = (a.cell_width(), b.cell_width());
-        if wa == wb {
-            return Ok((a, b));
-        }
-        let (fine, coarse_w) = if wa < wb { (&a, wb) } else { (&b, wa) };
-        let fine_w = fine.cell_width();
-        if coarse_w % fine_w != 0 {
-            return Err(DtError::synopsis(format!(
-                "cannot harmonize grids of widths {fine_w} and {coarse_w}                  (not integer multiples)"
-            )));
-        }
-        let factor = coarse_w / fine_w;
-        if wa < wb {
-            let a2 = a.coarsen(factor)?;
-            Ok((a2, b))
-        } else {
-            let b2 = b.coarsen(factor)?;
-            Ok((a, b2))
+    /// Both operands' grids on one width ([`SparseHist::harmonize`]),
+    /// or a kind-mismatch error for `op`.
+    fn grids<'a>(
+        op: &str,
+        a: &'a Synopsis,
+        b: &'a Synopsis,
+    ) -> DtResult<(Cow<'a, SparseHist>, Cow<'a, SparseHist>)> {
+        match (a.grid(), b.grid()) {
+            (Some(ga), Some(gb)) => SparseHist::harmonize(ga, gb),
+            _ => Err(Self::kind_mismatch(op, a, b)),
         }
     }
 
@@ -428,26 +355,21 @@ impl Synopsis {
             Synopsis::Sparse(s) => Synopsis::Sparse(s.project(keep)?),
             Synopsis::MHist(m) => Synopsis::MHist(m.project(keep)?),
             Synopsis::Reservoir(r) => Synopsis::Reservoir(r.project(keep)?),
-            Synopsis::Wavelet(_) | Synopsis::Adaptive(_) => self.lowered().project(keep)?,
+            Synopsis::Adaptive(a) => Synopsis::Sparse(a.as_sparse().project(keep)?),
         })
     }
 
     /// `UNION ALL`.
     pub fn union_all(&self, other: &Synopsis) -> DtResult<Synopsis> {
-        if self.needs_lowering() || other.needs_lowering() {
-            return self.lowered().union_all(&other.lowered());
-        }
         Ok(match (self, other) {
-            (Synopsis::Sparse(a), Synopsis::Sparse(b)) if a.cell_width() != b.cell_width() => {
-                let (a, b) = Self::harmonize(a.clone(), b.clone())?;
-                Synopsis::Sparse(a.union_all(&b)?)
-            }
-            (Synopsis::Sparse(a), Synopsis::Sparse(b)) => Synopsis::Sparse(a.union_all(b)?),
             (Synopsis::MHist(a), Synopsis::MHist(b)) => Synopsis::MHist(a.union_all(b)?),
             (Synopsis::Reservoir(a), Synopsis::Reservoir(b)) => {
                 Synopsis::Reservoir(a.union_all(b)?)
             }
-            _ => return Err(Self::kind_mismatch("union_all", self, other)),
+            _ => {
+                let (a, b) = Self::grids("union_all", self, other)?;
+                Synopsis::Sparse(a.union_all(&b)?)
+            }
         })
     }
 
@@ -458,26 +380,17 @@ impl Synopsis {
         other: &Synopsis,
         other_dim: usize,
     ) -> DtResult<Synopsis> {
-        if self.needs_lowering() || other.needs_lowering() {
-            return self
-                .lowered()
-                .equijoin(self_dim, &other.lowered(), other_dim);
-        }
         Ok(match (self, other) {
-            (Synopsis::Sparse(a), Synopsis::Sparse(b)) if a.cell_width() != b.cell_width() => {
-                let (a, b) = Self::harmonize(a.clone(), b.clone())?;
-                Synopsis::Sparse(a.equijoin(self_dim, &b, other_dim)?)
-            }
-            (Synopsis::Sparse(a), Synopsis::Sparse(b)) => {
-                Synopsis::Sparse(a.equijoin(self_dim, b, other_dim)?)
-            }
             (Synopsis::MHist(a), Synopsis::MHist(b)) => {
                 Synopsis::MHist(a.equijoin(self_dim, b, other_dim)?)
             }
             (Synopsis::Reservoir(a), Synopsis::Reservoir(b)) => {
                 Synopsis::Reservoir(a.equijoin(self_dim, b, other_dim)?)
             }
-            _ => return Err(Self::kind_mismatch("equijoin", self, other)),
+            _ => {
+                let (a, b) = Self::grids("equijoin", self, other)?;
+                Synopsis::Sparse(a.equijoin(self_dim, &b, other_dim)?)
+            }
         })
     }
 
@@ -489,25 +402,19 @@ impl Synopsis {
             Synopsis::Sparse(s) => s.covers(point),
             Synopsis::MHist(m) => m.covers(point),
             Synopsis::Reservoir(r) => r.covers(point),
-            Synopsis::Wavelet(w) => w.covers(point),
             Synopsis::Adaptive(a) => a.covers(point),
         }
     }
 
     /// Cross product ×.
     pub fn cross(&self, other: &Synopsis) -> DtResult<Synopsis> {
-        if self.needs_lowering() || other.needs_lowering() {
-            return self.lowered().cross(&other.lowered());
-        }
         Ok(match (self, other) {
-            (Synopsis::Sparse(a), Synopsis::Sparse(b)) if a.cell_width() != b.cell_width() => {
-                let (a, b) = Self::harmonize(a.clone(), b.clone())?;
-                Synopsis::Sparse(a.cross(&b)?)
-            }
-            (Synopsis::Sparse(a), Synopsis::Sparse(b)) => Synopsis::Sparse(a.cross(b)?),
             (Synopsis::MHist(a), Synopsis::MHist(b)) => Synopsis::MHist(a.cross(b)?),
             (Synopsis::Reservoir(a), Synopsis::Reservoir(b)) => Synopsis::Reservoir(a.cross(b)?),
-            _ => return Err(Self::kind_mismatch("cross", self, other)),
+            _ => {
+                let (a, b) = Self::grids("cross", self, other)?;
+                Synopsis::Sparse(a.cross(&b)?)
+            }
         })
     }
 
@@ -517,9 +424,7 @@ impl Synopsis {
             Synopsis::Sparse(s) => Synopsis::Sparse(s.select_range(dim, lo, hi)?),
             Synopsis::MHist(m) => Synopsis::MHist(m.select_range(dim, lo, hi)?),
             Synopsis::Reservoir(r) => Synopsis::Reservoir(r.select_range(dim, lo, hi)?),
-            Synopsis::Wavelet(_) | Synopsis::Adaptive(_) => {
-                self.lowered().select_range(dim, lo, hi)?
-            }
+            Synopsis::Adaptive(a) => Synopsis::Sparse(a.as_sparse().select_range(dim, lo, hi)?),
         })
     }
 
@@ -529,7 +434,7 @@ impl Synopsis {
             Synopsis::Sparse(s) => s.group_counts(dim),
             Synopsis::MHist(m) => m.group_counts(dim),
             Synopsis::Reservoir(r) => r.group_counts(dim),
-            Synopsis::Wavelet(_) | Synopsis::Adaptive(_) => self.lowered().group_counts(dim),
+            Synopsis::Adaptive(a) => a.as_sparse().group_counts(dim),
         }
     }
 
@@ -539,9 +444,7 @@ impl Synopsis {
             Synopsis::Sparse(s) => s.group_sums(group_dim, sum_dim),
             Synopsis::MHist(m) => m.group_sums(group_dim, sum_dim),
             Synopsis::Reservoir(r) => r.group_sums(group_dim, sum_dim),
-            Synopsis::Wavelet(_) | Synopsis::Adaptive(_) => {
-                self.lowered().group_sums(group_dim, sum_dim)
-            }
+            Synopsis::Adaptive(a) => a.as_sparse().group_sums(group_dim, sum_dim),
         }
     }
 
@@ -575,7 +478,6 @@ impl Synopsis {
             Synopsis::Sparse(_) => "sparse",
             Synopsis::MHist(_) => "mhist",
             Synopsis::Reservoir(_) => "reservoir",
-            Synopsis::Wavelet(_) => "wavelet",
             Synopsis::Adaptive(_) => "adaptive-sparse",
         }
     }
@@ -599,10 +501,6 @@ mod tests {
             SynopsisConfig::Reservoir {
                 capacity: 1000,
                 seed: 7,
-            },
-            SynopsisConfig::Wavelet {
-                budget: 128,
-                domain: 128,
             },
             SynopsisConfig::AdaptiveSparse {
                 base_width: 1,
@@ -648,11 +546,6 @@ mod tests {
             SynopsisConfig::Reservoir {
                 capacity: 1000,
                 seed: 7,
-            },
-            // Full coefficient budget = lossless reconstruction.
-            SynopsisConfig::Wavelet {
-                budget: 128,
-                domain: 128,
             },
             // Budget large enough that the grid never coarsens.
             SynopsisConfig::AdaptiveSparse {
@@ -725,14 +618,6 @@ mod tests {
             "reservoir(c=3)"
         );
         assert_eq!(
-            SynopsisConfig::Wavelet {
-                budget: 16,
-                domain: 128
-            }
-            .label(),
-            "wavelet(b=16,n=128)"
-        );
-        assert_eq!(
             SynopsisConfig::AdaptiveSparse {
                 base_width: 1,
                 max_cells: 64
@@ -763,9 +648,13 @@ mod tests {
         let j = pressured.equijoin(0, &light, 0).unwrap();
         assert!(j.total_mass() > 0.0);
         // Harmonization failure: incompatible fixed widths.
-        let a = SynopsisConfig::Sparse { cell_width: 2 }.build(1).unwrap();
-        let b = SynopsisConfig::Sparse { cell_width: 3 }.build(1).unwrap();
-        assert!(a.union_all(&b).is_err());
+        let a = SynopsisConfig::Sparse { cell_width: 3 }.build(1).unwrap();
+        let b = SynopsisConfig::Sparse { cell_width: 5 }.build(1).unwrap();
+        let err = a.union_all(&b).unwrap_err().to_string();
+        assert!(
+            err.contains("widths 3 and 5 (not integer multiples)"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -799,6 +688,10 @@ mod tests {
                 capacity: 16,
                 seed: 99,
             },
+            SynopsisConfig::AdaptiveSparse {
+                base_width: 1,
+                max_cells: 8,
+            },
         ];
         // Deterministic pseudo-random values; tag = arrival index.
         let points: Vec<(u64, i64)> = (0..200u64)
@@ -828,24 +721,23 @@ mod tests {
 
     #[test]
     fn merge_rejects_unsupported_and_mismatched_kinds() {
-        let w = SynopsisConfig::Wavelet {
-            budget: 16,
-            domain: 128,
+        // Unsupported: Algorithm R reservoirs (built by `build`) carry
+        // no tags to merge by.
+        let classic = SynopsisConfig::Reservoir {
+            capacity: 4,
+            seed: 1,
         };
-        assert!(!w.supports_merge());
-        assert!(w.build_mergeable(1).is_err());
+        let mut r = classic.build(1).unwrap();
+        assert!(r.merge_from(&classic.build(1).unwrap()).is_err());
         let a = SynopsisConfig::AdaptiveSparse {
             base_width: 1,
             max_cells: 8,
-        };
-        assert!(!a.supports_merge());
-        assert!(a.build_mergeable(1).is_err());
-        let mut wa = w.build(1).unwrap();
-        let wb = w.build(1).unwrap();
-        assert!(wa.merge_from(&wb).is_err());
+        }
+        .build_mergeable(1)
+        .unwrap();
         let mut s = SynopsisConfig::default_sparse().build(1).unwrap();
-        assert!(s.merge_from(&wb).is_err());
-        assert!(SynopsisConfig::default_sparse().supports_merge());
+        let err = s.merge_from(&a).unwrap_err().to_string();
+        assert!(err.contains("sparse and adaptive-sparse"), "{err}");
     }
 
     #[test]

@@ -29,11 +29,9 @@ fn arb_points(dims: usize, domain: i64, max: usize) -> impl Strategy<Value = Vec
     prop::collection::vec(prop::collection::vec(0..domain, dims), 0..=max)
 }
 
-/// Coarse configurations valid at `dims` dimensions (wavelets support
-/// only 1–2 dims, and their mass invariants need a full coefficient
-/// budget because thresholding clamps reconstruction ringing).
-fn coarse_configs(dims: usize) -> Vec<SynopsisConfig> {
-    let mut v = vec![
+/// Coarse sparse, MHIST and reservoir configurations.
+fn coarse_configs() -> Vec<SynopsisConfig> {
+    vec![
         SynopsisConfig::Sparse { cell_width: 4 },
         SynopsisConfig::MHist {
             max_buckets: 6,
@@ -47,14 +45,7 @@ fn coarse_configs(dims: usize) -> Vec<SynopsisConfig> {
             capacity: 8,
             seed: 11,
         },
-    ];
-    if dims <= 2 {
-        v.push(SynopsisConfig::Wavelet {
-            budget: 32usize.pow(dims as u32),
-            domain: 32,
-        });
-    }
-    v
+    ]
 }
 
 proptest! {
@@ -92,7 +83,7 @@ proptest! {
     /// Total mass equals the tuple count for every structure.
     #[test]
     fn mass_equals_count(points in arb_points(2, 20, 30)) {
-        for cfg in coarse_configs(2) {
+        for cfg in coarse_configs() {
             let syn = build(&cfg, 2, &points);
             prop_assert!((syn.total_mass() - points.len() as f64).abs() < 1e-6,
                 "{}: {}", cfg.label(), syn.total_mass());
@@ -102,7 +93,7 @@ proptest! {
     /// π conserves mass at any resolution.
     #[test]
     fn project_conserves_mass(points in arb_points(3, 20, 30)) {
-        for cfg in coarse_configs(3) {
+        for cfg in coarse_configs() {
             let syn = build(&cfg, 3, &points);
             let p = syn.project(&[1]).unwrap();
             prop_assert!((p.total_mass() - syn.total_mass()).abs() < 1e-6,
@@ -116,7 +107,7 @@ proptest! {
         a in arb_points(1, 20, 20),
         b in arb_points(1, 20, 20),
     ) {
-        for cfg in coarse_configs(1) {
+        for cfg in coarse_configs() {
             let sa = build(&cfg, 1, &a);
             let sb = build(&cfg, 1, &b);
             let u = sa.union_all(&sb).unwrap();
@@ -129,7 +120,7 @@ proptest! {
     /// mass.
     #[test]
     fn select_bounds_mass(points in arb_points(1, 20, 30)) {
-        for cfg in coarse_configs(1) {
+        for cfg in coarse_configs() {
             let syn = build(&cfg, 1, &points);
             let some = syn.select_range(0, 5, 12).unwrap();
             prop_assert!(some.total_mass() <= syn.total_mass() + 1e-9, "{}", cfg.label());
@@ -142,7 +133,7 @@ proptest! {
     /// mass at any resolution.
     #[test]
     fn group_counts_partition_mass(points in arb_points(2, 20, 30)) {
-        for cfg in coarse_configs(2) {
+        for cfg in coarse_configs() {
             let syn = build(&cfg, 2, &points);
             let g = syn.group_counts(1).unwrap();
             for (&v, &m) in &g {

@@ -1,13 +1,18 @@
 //! Structural property tests for the synopsis implementations:
-//! MAXDIFF bucket geometry, wavelet transform identities, adaptive
-//! budgets, and compression invariants — the internal guarantees the
-//! estimator correctness rests on.
+//! MAXDIFF bucket geometry, adaptive budgets and merges, and
+//! compression invariants — the internal guarantees the estimator
+//! correctness rests on.
 
-use dt_synopsis::{AdaptiveSparse, MHist, MHistConfig, SparseHist, WaveletSynopsis};
+use dt_synopsis::{AdaptiveSparse, MHist, MHistConfig, SparseHist};
 use proptest::prelude::*;
 
 fn arb_points(dims: usize, domain: i64, max: usize) -> impl Strategy<Value = Vec<Vec<i64>>> {
     prop::collection::vec(prop::collection::vec(0..domain, dims), 1..=max)
+}
+
+/// Points on both sides of 0, which coarsening never merges across.
+fn arb_straddling(dims: usize, max: usize) -> impl Strategy<Value = Vec<Vec<i64>>> {
+    prop::collection::vec(prop::collection::vec(-50i64..50, dims), 1..=max)
 }
 
 proptest! {
@@ -86,45 +91,20 @@ proptest! {
         prop_assert!((c.total_mass() - h.total_mass()).abs() < 1e-9);
     }
 
-    /// The wavelet round-trips exactly at full budget, and conserves
-    /// (or clamps upward) mass at any budget.
-    #[test]
-    fn wavelet_mass_and_roundtrip(
-        points in arb_points(1, 32, 40),
-        budget in 1usize..40,
-    ) {
-        let mut w = WaveletSynopsis::new(1, 32, budget).unwrap();
-        for p in &points {
-            w.insert(p).unwrap();
-        }
-        w.freeze();
-        let n = points.len() as f64;
-        // DC coefficient retained ⇒ mass ≥ n − ε; clamping of negative
-        // ringing can only add.
-        prop_assert!(w.total_mass() >= n - 1e-6, "{} < {}", w.total_mass(), n);
-        // Full budget ⇒ exact per-value counts.
-        if budget >= 32 {
-            let grid = w.reconstructed();
-            let counts = grid.group_counts(0).unwrap();
-            let mut expected: std::collections::HashMap<i64, f64> = Default::default();
-            for p in &points {
-                *expected.entry(p[0]).or_default() += 1.0;
-            }
-            for (v, c) in expected {
-                prop_assert!((counts[&v] - c).abs() < 1e-6, "value {v}");
-            }
-        }
-    }
-
     /// The adaptive histogram never exceeds its budget, conserves
     /// mass, and its width stays a power-of-two multiple of the base.
+    /// A budget below one cell per orthant (4 in 2-D) is rejected.
     #[test]
     fn adaptive_budget_and_width_laws(
-        points in arb_points(2, 100, 80),
+        points in arb_straddling(2, 80),
         budget in 1usize..30,
         base in 1i64..4,
     ) {
-        let mut a = AdaptiveSparse::new(2, base, budget).unwrap();
+        let built = AdaptiveSparse::new(2, base, budget);
+        prop_assert_eq!(built.is_err(), budget < 4);
+        let Ok(mut a) = built else {
+            return Ok(());
+        };
         for p in &points {
             a.insert(p).unwrap();
             prop_assert!(a.num_cells() <= budget);
@@ -133,6 +113,32 @@ proptest! {
         let ratio = a.current_width() / base;
         prop_assert_eq!(a.current_width() % base, 0);
         prop_assert!(ratio.count_ones() == 1, "ratio {ratio} not a power of two");
+    }
+
+    /// Merging adaptive partials reproduces the single-writer
+    /// histogram bit for bit, whatever the split and merge order.
+    #[test]
+    fn adaptive_merge_equals_single_writer(
+        points in prop::collection::vec(
+            (prop::collection::vec(-50i64..50, 2), 0usize..4),
+            0..=80,
+        ),
+        rotate in 0usize..4,
+        base in 1i64..4,
+        budget in 4usize..40,
+    ) {
+        let mut single = AdaptiveSparse::new(2, base, budget).unwrap();
+        let mut parts = vec![single.clone(); 4];
+        for (p, part) in &points {
+            single.insert(p).unwrap();
+            parts[*part].insert(p).unwrap();
+        }
+        parts.rotate_left(rotate);
+        let mut merged = parts[0].clone();
+        for p in &parts[1..] {
+            merged.merge_from(p).unwrap();
+        }
+        prop_assert_eq!(merged, single);
     }
 
     /// Coarsening a sparse histogram k then m times equals coarsening

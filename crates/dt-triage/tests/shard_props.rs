@@ -25,7 +25,7 @@ fn tup(v: i64, us: u64) -> Tuple {
     Tuple::new(Row::from_ints(&[v]), Timestamp::from_micros(us))
 }
 
-/// The three mergeable synopsis kinds the sharded plane supports.
+/// The four synopsis kinds, all of which merge across shards.
 fn synopsis(idx: usize) -> SynopsisConfig {
     [
         SynopsisConfig::Sparse { cell_width: 5 },
@@ -37,7 +37,11 @@ fn synopsis(idx: usize) -> SynopsisConfig {
             capacity: 12,
             seed: 7,
         },
-    ][idx % 3]
+        SynopsisConfig::AdaptiveSparse {
+            base_width: 1,
+            max_cells: 4,
+        },
+    ][idx % 4]
 }
 
 /// Map a raw draw to a group key under one of three distributions:
@@ -82,7 +86,7 @@ proptest! {
     fn sharded_identity(
         shards in 2usize..=4,
         dist in 0usize..3,
-        syn in 0usize..3,
+        syn in 0usize..4,
         // (keep?, key draw, micros) — lands across ~3 windows.
         ops in prop::collection::vec(
             (any::<bool>(), any::<u64>(), 0u64..3_000_000),
@@ -116,7 +120,7 @@ proptest! {
     fn steal_schedule_independence(
         shards in 2usize..=4,
         dist in 0usize..3,
-        syn in 0usize..3,
+        syn in 0usize..4,
         // (key draw, micros, shard draw) — the shard draw is the
         // "steal schedule": where each tuple actually lands.
         ops in prop::collection::vec(

@@ -53,10 +53,6 @@ fn all_synopsis_configs() -> Vec<SynopsisConfig> {
             capacity: 64,
             seed: 5,
         },
-        SynopsisConfig::Wavelet {
-            budget: 24,
-            domain: 128,
-        },
         SynopsisConfig::AdaptiveSparse {
             base_width: 1,
             max_cells: 40,

@@ -45,6 +45,8 @@ impl Bencher {
     }
 
     /// Measure `routine` repeatedly until the time budget is spent.
+    /// As in upstream criterion, dropping each output is part of the
+    /// timed region; [`Bencher::iter_batched`] excludes it.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         // Warm-up.
         black_box(routine());
@@ -57,8 +59,9 @@ impl Bencher {
         }
     }
 
-    /// Measure `routine` on fresh inputs from `setup`; setup time is
-    /// excluded from the measurement.
+    /// Measure `routine` on fresh inputs from `setup`. Neither setup nor
+    /// dropping the routine's output is timed: the output is held past
+    /// the clock read and dropped after, as upstream criterion does.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
@@ -69,9 +72,10 @@ impl Bencher {
         while start.elapsed() < self.budget {
             let input = setup();
             let t0 = Instant::now();
-            black_box(routine(input));
+            let output = black_box(routine(input));
             self.elapsed += t0.elapsed();
             self.iters += 1;
+            drop(output);
         }
     }
 }
@@ -192,6 +196,24 @@ mod tests {
             b.iter_batched(|| 3u64, |x| x * 2, BatchSize::SmallInput)
         });
         g.finish();
+    }
+
+    /// An output whose drop is slow: `iter_batched` must not time it.
+    struct SlowDrop;
+
+    impl Drop for SlowDrop {
+        fn drop(&mut self) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn iter_batched_excludes_dropping_the_output() {
+        let mut b = Bencher::new(Duration::from_millis(20));
+        b.iter_batched(|| (), |()| SlowDrop, BatchSize::SmallInput);
+        assert!(b.iters > 0);
+        let per_iter = b.elapsed / b.iters as u32;
+        assert!(per_iter < Duration::from_millis(1), "{per_iter:?}/iter");
     }
 
     #[test]
