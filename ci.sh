@@ -198,14 +198,20 @@ cargo run --release -p dt-bench --bin bench_baseline -- --out /tmp/bench_smoke.j
 
 # Simulator output pin: the deterministic figure and ablation
 # binaries must print exactly the committed results/ text that
-# EXPERIMENTS.md quotes. fig6 and ablation_synopsis print wall-clock
-# timings, so they are not pinned.
+# EXPERIMENTS.md quotes. fig6 prints wall-clock timings, so it is not
+# pinned.
 PIN_DIR=$(mktemp -d)
 for bin in fig8 fig9 ablation_burstlen ablation_cellwidth ablation_policy ablation_queue; do
     (cd "$PIN_DIR" && cargo run --release --quiet --manifest-path "$OLDPWD/Cargo.toml" \
         -p dt-bench --bin "$bin") > "$PIN_DIR/$bin.txt"
     diff "$PIN_DIR/$bin.txt" "results/$bin.txt"
 done
+# ablation_synopsis is the pinned run of the simulator's MHIST,
+# adaptive and reservoir paths (every other pin runs sparse). Its
+# last column is wall time, so both sides drop it before the diff.
+(cd "$PIN_DIR" && cargo run --release --quiet --manifest-path "$OLDPWD/Cargo.toml" \
+    -p dt-bench --bin ablation_synopsis) | sed 's/ *[0-9.]* s$//' > "$PIN_DIR/ablation_synopsis.txt"
+sed 's/ *[0-9.]* s$//' results/ablation_synopsis.txt | diff "$PIN_DIR/ablation_synopsis.txt" -
 # The delay-constraint sweep (DESIGN.md §11) is the pinned run in
 # which the adaptive controller engages; it writes delay_sweep.json to
 # the current directory, so it too runs from the pin directory.

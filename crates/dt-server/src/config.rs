@@ -130,7 +130,7 @@ impl ServerConfig {
         // One synopsis per catalog stream: a bad synopsis setting (say,
         // an adaptive budget below 2^arity) fails here, not per window.
         for (_, schema) in self.catalog.streams() {
-            self.synopsis.build_mergeable(schema.arity())?;
+            self.synopsis.build(schema.arity())?;
         }
         let plans: Vec<QueryPlan> = self
             .queries

@@ -21,7 +21,7 @@
 //!   (split boundaries snapped to a grid — the constrained MHIST the
 //!   paper's §8.1 proposes as future work) is available via
 //!   [`MHistConfig::alignment`].
-//! * [`ReservoirSample`] — a uniform reservoir sample with a scale
+//! * [`ReservoirSample`] — a uniform bottom-k sample with a scale
 //!   factor, included as the §8.1 "additional synopsis type" and as an
 //!   ablation baseline.
 //! * [`AdaptiveSparse`] — a sparse histogram that coarsens its grid 2×
@@ -42,8 +42,7 @@
 //! sequence numbers, and [`Synopsis::merge_from`] folds per-shard
 //! partial synopses into one that is bit-identical to a single-writer
 //! synopsis — for every kind: sparse and adaptive grids by cell-mass
-//! addition, MHISTs by tag order, reservoirs built by
-//! [`SynopsisConfig::build_mergeable`] by bottom-k union.
+//! addition, MHISTs by tag order, reservoirs by bottom-k union.
 
 #![deny(missing_docs)]
 

@@ -8,15 +8,18 @@
 //! results (Chaudhuri et al., cited in the paper's related work) — the
 //! ablation bench makes that visible.
 //!
-//! A fresh reservoir ingests tuples with classic Algorithm R; each
-//! retained row then represents `seen / kept` source tuples. The
-//! relational operations produce *frozen weighted samples* — plain
+//! A sampling reservoir is a *bottom-k* sample: each insert carries an
+//! arrival tag, gets the deterministic priority `splitmix64(seed,
+//! tag)`, and the sample retains the `capacity` rows with the smallest
+//! `(priority, tag)` keys. That is a simple random sample without
+//! replacement whose content is a pure function of the inserted `(row,
+//! tag)` *set* — independent of insertion order and of how inserts
+//! were partitioned across shards — so per-shard partials merge
+//! exactly. Each retained row represents `seen / kept` source tuples.
+//! The relational operations produce *frozen weighted samples* — plain
 //! weighted row sets that are no longer sampled into.
 
 use dt_types::{DtError, DtResult};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// Deterministic 64-bit mix (splitmix64 finalizer) mapping an arrival
 /// tag to a sampling priority.
@@ -27,7 +30,8 @@ fn priority_of(seed: u64, tag: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A uniform reservoir sample with deterministic (seeded) eviction.
+/// A uniform bottom-k reservoir sample with deterministic (seeded)
+/// priorities (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ReservoirSample {
     dims: usize,
@@ -39,21 +43,17 @@ pub struct ReservoirSample {
     rows: Vec<(Box<[i64]>, f64)>,
     /// Total source mass represented.
     seen: f64,
-    /// `true` while Algorithm R is still running.
+    /// `true` until a relational operation freezes the sample.
     sampling: bool,
-    rng: ChaCha8Rng,
-    /// RNG seed, kept so mergeable samples can check compatibility.
+    /// Priority seed, kept so merges can check compatibility.
     seed: u64,
-    /// `Some` switches the sample to *mergeable bottom-k* mode: each
-    /// tagged insert gets the deterministic priority
-    /// `splitmix64(seed, tag)`, and the sample retains the `capacity`
-    /// rows with the smallest `(priority, tag)` — a simple random
-    /// sample without replacement whose content is a pure function of
-    /// the inserted `(row, tag)` *set*, independent of insertion order
-    /// and of how inserts were partitioned across shards. The vector
-    /// holds the retained `(priority, tag)` keys sorted ascending,
-    /// parallel to `rows`.
-    keys: Option<Vec<(u64, u64)>>,
+    /// The retained `(priority, tag)` keys, sorted ascending and
+    /// parallel to `rows` (empty once frozen).
+    keys: Vec<(u64, u64)>,
+    /// Some insert came without a tag and was tagged with its arrival
+    /// index. Such tags are not known to be unique across samples, so
+    /// the sample refuses to merge.
+    untagged: bool,
 }
 
 impl ReservoirSample {
@@ -69,20 +69,10 @@ impl ReservoirSample {
             rows: Vec::new(),
             seen: 0.0,
             sampling: true,
-            rng: ChaCha8Rng::seed_from_u64(seed),
             seed,
-            keys: None,
+            keys: Vec::new(),
+            untagged: false,
         })
-    }
-
-    /// A mergeable bottom-k sample (see the `keys` field docs): every
-    /// insert must carry an arrival tag, and two samples built with
-    /// the same capacity and seed merge exactly via
-    /// [`ReservoirSample::merge_from`].
-    pub fn new_mergeable(dims: usize, capacity: usize, seed: u64) -> DtResult<Self> {
-        let mut s = Self::new(dims, capacity, seed)?;
-        s.keys = Some(Vec::new());
-        Ok(s)
     }
 
     /// A frozen weighted sample (the output form of relational ops).
@@ -94,9 +84,9 @@ impl ReservoirSample {
             rows,
             seen,
             sampling: false,
-            rng: ChaCha8Rng::seed_from_u64(0),
             seed: 0,
-            keys: None,
+            keys: Vec::new(),
+            untagged: false,
         }
     }
 
@@ -120,46 +110,20 @@ impl ReservoirSample {
         self.seen == 0.0
     }
 
-    /// Insert one tuple (Algorithm R). Errors if this sample is the
-    /// frozen output of a relational operation, or is in mergeable
-    /// bottom-k mode (which needs a tag — use
-    /// [`ReservoirSample::insert_tagged`]).
+    /// Insert one tuple without a tag: it is tagged with its arrival
+    /// index (the number of tuples seen before it), and the sample no
+    /// longer merges. Errors if this sample is the frozen output of a
+    /// relational operation.
     pub fn insert(&mut self, point: &[i64]) -> DtResult<()> {
-        if self.keys.is_some() {
-            return Err(DtError::synopsis(
-                "mergeable reservoir requires tagged inserts",
-            ));
-        }
-        if !self.sampling {
-            return Err(DtError::synopsis("cannot insert into a frozen sample"));
-        }
-        if point.len() != self.dims {
-            return Err(DtError::synopsis(format!(
-                "point arity {} != sample dims {}",
-                point.len(),
-                self.dims
-            )));
-        }
-        self.seen += 1.0;
-        if self.rows.len() < self.capacity {
-            self.rows.push((point.into(), 1.0));
-        } else {
-            let j = self.rng.gen_range(0..self.seen as u64) as usize;
-            if j < self.capacity {
-                self.rows[j] = (point.into(), 1.0);
-            }
-        }
+        let tag = self.seen as u64;
+        self.insert_tagged(point, tag)?;
+        self.untagged = true;
         Ok(())
     }
 
-    /// Insert one tuple carrying an arrival tag. In mergeable bottom-k
-    /// mode the tag determines the row's retention priority; in
-    /// Algorithm R mode the tag is ignored and this is
-    /// [`ReservoirSample::insert`].
+    /// Insert one tuple carrying an arrival tag, which determines the
+    /// row's retention priority (see the module docs).
     pub fn insert_tagged(&mut self, point: &[i64], tag: u64) -> DtResult<()> {
-        if self.keys.is_none() {
-            return self.insert(point);
-        }
         if !self.sampling {
             return Err(DtError::synopsis("cannot insert into a frozen sample"));
         }
@@ -172,25 +136,24 @@ impl ReservoirSample {
         }
         self.seen += 1.0;
         let key = (priority_of(self.seed, tag), tag);
-        let keys = self.keys.as_mut().expect("checked above");
-        if keys.len() == self.capacity {
-            match keys.last() {
+        if self.keys.len() == self.capacity {
+            match self.keys.last() {
                 Some(&last) if key < last => {
-                    keys.pop();
+                    self.keys.pop();
                     self.rows.pop();
                 }
                 _ => return Ok(()),
             }
         }
-        let at = keys.partition_point(|&k| k < key);
-        keys.insert(at, key);
+        let at = self.keys.partition_point(|&k| k < key);
+        self.keys.insert(at, key);
         self.rows.insert(at, (point.into(), 1.0));
         Ok(())
     }
 
-    /// Fold another mergeable bottom-k sample into this one: the union
-    /// of the retained sets, re-truncated to the `capacity` smallest
-    /// `(priority, tag)` keys.
+    /// Fold another sample into this one: the union of the retained
+    /// sets, re-truncated to the `capacity` smallest `(priority, tag)`
+    /// keys.
     ///
     /// Because each partial sample retains its shard's bottom
     /// `capacity` keys, the union is a superset of the global bottom
@@ -198,13 +161,11 @@ impl ReservoirSample {
     /// over the whole stream would retain, regardless of partitioning.
     ///
     /// # Errors
-    /// Errors unless both samples are unfrozen, mergeable, and share
-    /// dims, capacity, and seed.
+    /// Errors unless both samples are unfrozen, took only tagged
+    /// inserts, and share dims, capacity, and seed.
     pub fn merge_from(&mut self, other: &ReservoirSample) -> DtResult<()> {
-        if self.keys.is_none() || other.keys.is_none() {
-            return Err(DtError::synopsis(
-                "reservoir merge requires mergeable (tagged bottom-k) samples",
-            ));
+        if self.untagged || other.untagged {
+            return Err(DtError::synopsis("reservoir merge requires tagged inserts"));
         }
         if !self.sampling || !other.sampling {
             return Err(DtError::synopsis("cannot merge frozen samples"));
@@ -216,19 +177,14 @@ impl ReservoirSample {
         }
         // One retained entry: the (priority, tag) sort key + its row.
         type KeyedRow = ((u64, u64), (Box<[i64]>, f64));
-        let ours = std::mem::take(self.keys.as_mut().expect("checked above"));
-        let theirs = other.keys.as_ref().expect("checked above");
-        let our_rows = std::mem::take(&mut self.rows);
-        let mut all: Vec<KeyedRow> = ours
+        let mut all: Vec<KeyedRow> = std::mem::take(&mut self.keys)
             .into_iter()
-            .zip(our_rows)
-            .chain(theirs.iter().copied().zip(other.rows.iter().cloned()))
+            .zip(std::mem::take(&mut self.rows))
+            .chain(other.keys.iter().copied().zip(other.rows.iter().cloned()))
             .collect();
         all.sort_unstable_by_key(|&(k, _)| k);
         all.truncate(self.capacity);
-        let (keys, rows) = all.into_iter().unzip();
-        self.keys = Some(keys);
-        self.rows = rows;
+        (self.keys, self.rows) = all.into_iter().unzip();
         self.seen += other.seen;
         Ok(())
     }
@@ -411,6 +367,7 @@ impl PartialEq for ReservoirSample {
             && self.seen == other.seen
             && self.sampling == other.sampling
             && self.keys == other.keys
+            && self.untagged == other.untagged
     }
 }
 

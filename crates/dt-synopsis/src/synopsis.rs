@@ -42,11 +42,12 @@ pub enum SynopsisConfig {
         /// Snap split boundaries to multiples of this grid.
         alignment: Option<i64>,
     },
-    /// Uniform reservoir sample (§8.1 "additional synopsis types").
+    /// Uniform bottom-k reservoir sample (§8.1 "additional synopsis
+    /// types").
     Reservoir {
         /// Maximum retained rows.
         capacity: usize,
-        /// RNG seed for deterministic eviction.
+        /// Seed of the deterministic retention priorities.
         seed: u64,
     },
     /// Memory-bounded adaptive sparse histogram: starts at
@@ -93,21 +94,6 @@ impl SynopsisConfig {
                 max_cells,
             } => Synopsis::Adaptive(AdaptiveSparse::new(dims, base_width, max_cells)?),
         })
-    }
-
-    /// Build an empty *mergeable* synopsis over `dims` dimensions:
-    /// like [`SynopsisConfig::build`], but reservoirs come up in
-    /// tagged bottom-k mode (see
-    /// [`ReservoirSample::new_mergeable`]) so per-shard partials can
-    /// be folded exactly at seal. Every other kind is already
-    /// merge-capable and builds identically.
-    pub fn build_mergeable(&self, dims: usize) -> DtResult<Synopsis> {
-        match *self {
-            SynopsisConfig::Reservoir { capacity, seed } => Ok(Synopsis::Reservoir(
-                ReservoirSample::new_mergeable(dims, capacity, seed)?,
-            )),
-            _ => self.build(dims),
-        }
     }
 
     /// A short human-readable label, used in experiment output.
@@ -232,8 +218,8 @@ impl Synopsis {
     /// [`Synopsis::insert`] per transposed point, in row order.
     ///
     /// Sparse and MHIST dispatch to their vectorized column kernels.
-    /// Reservoirs replay the points row by row because RNG eviction is
-    /// order-sensitive; adaptive histograms do too, not for order (their
+    /// Reservoirs replay the points row by row, each tagged with its
+    /// arrival index; adaptive histograms do too, not for order (their
     /// final state is order-free) but so the cell budget holds after
     /// every point.
     pub fn insert_columns(&mut self, cols: &[Vec<i64>]) -> DtResult<()> {
@@ -260,8 +246,8 @@ impl Synopsis {
     /// totally ordered sequence number — sharded triage uses the
     /// per-stream ingest sequence). Tags are what make partial
     /// synopses mergeable: MHIST records them to restore global
-    /// insertion order at merge, mergeable reservoirs hash them into
-    /// retention priorities, and the order-free structures (sparse and
+    /// insertion order at merge, reservoirs hash them into retention
+    /// priorities, and the order-free structures (sparse and
     /// adaptive grids) ignore them — for those this is exactly
     /// [`Synopsis::insert`].
     pub fn insert_tagged(&mut self, point: &[i64], tag: u64) -> DtResult<()> {
@@ -307,7 +293,7 @@ impl Synopsis {
     /// Sparse grids merge by cell-mass addition (order-free), adaptive
     /// grids likewise after harmonizing widths and then coarsen back
     /// under budget, MHISTs by tag-sorted point-buffer concatenation,
-    /// mergeable reservoirs by bottom-k union.
+    /// reservoirs by bottom-k union.
     pub fn merge_from(&mut self, other: &Synopsis) -> DtResult<()> {
         match (self, other) {
             (Synopsis::Sparse(a), Synopsis::Sparse(b)) => a.merge_from(b),
@@ -673,7 +659,7 @@ mod tests {
         assert_eq!(s.kind_name(), "adaptive-sparse");
     }
 
-    /// Every mergeable kind: partitioning tagged inserts across 3
+    /// Every kind: partitioning tagged inserts across 3
     /// partials and merging in partition order reproduces the
     /// single-writer synopsis bit-for-bit.
     #[test]
@@ -698,12 +684,11 @@ mod tests {
             .map(|i| (i, ((i * 2654435761) % 100) as i64))
             .collect();
         for cfg in configs {
-            let mut single = cfg.build_mergeable(1).unwrap();
+            let mut single = cfg.build(1).unwrap();
             for &(tag, v) in &points {
                 single.insert_tagged(&[v], tag).unwrap();
             }
-            let mut parts: Vec<Synopsis> =
-                (0..3).map(|_| cfg.build_mergeable(1).unwrap()).collect();
+            let mut parts: Vec<Synopsis> = (0..3).map(|_| cfg.build(1).unwrap()).collect();
             for &(tag, v) in &points {
                 // Skewed partition, deliberately unlike round-robin.
                 let p = if v < 50 { 0 } else { (tag % 2 + 1) as usize };
@@ -721,19 +706,20 @@ mod tests {
 
     #[test]
     fn merge_rejects_unsupported_and_mismatched_kinds() {
-        // Unsupported: Algorithm R reservoirs (built by `build`) carry
-        // no tags to merge by.
-        let classic = SynopsisConfig::Reservoir {
+        // Unsupported: a reservoir that took untagged inserts has no
+        // tags known to be unique to merge by.
+        let res = SynopsisConfig::Reservoir {
             capacity: 4,
             seed: 1,
         };
-        let mut r = classic.build(1).unwrap();
-        assert!(r.merge_from(&classic.build(1).unwrap()).is_err());
+        let mut r = res.build(1).unwrap();
+        r.insert(&[1]).unwrap();
+        assert!(r.merge_from(&res.build(1).unwrap()).is_err());
         let a = SynopsisConfig::AdaptiveSparse {
             base_width: 1,
             max_cells: 8,
         }
-        .build_mergeable(1)
+        .build(1)
         .unwrap();
         let mut s = SynopsisConfig::default_sparse().build(1).unwrap();
         let err = s.merge_from(&a).unwrap_err().to_string();
@@ -746,21 +732,34 @@ mod tests {
             capacity: 4,
             seed: 1,
         };
-        let mut r = cfg.build_mergeable(1).unwrap();
-        assert!(r.insert(&[1]).is_err(), "untagged insert must be rejected");
+        let mut r = cfg.build(1).unwrap();
         r.insert_tagged(&[1], 0).unwrap();
         let other = SynopsisConfig::Reservoir {
             capacity: 4,
             seed: 2,
         }
-        .build_mergeable(1)
+        .build(1)
         .unwrap();
         assert!(r.merge_from(&other).is_err(), "seed mismatch must fail");
-        // Algorithm R samples (untagged mode) cannot merge.
+        let mut tagged = cfg.build(1).unwrap();
+        tagged.insert_tagged(&[2], 1).unwrap();
+        r.merge_from(&tagged).unwrap();
+        // An untagged insert is tagged with its arrival index, which
+        // matches what a tagged insert at that index keeps...
         let mut plain = cfg.build(1).unwrap();
-        plain.insert(&[1]).unwrap();
-        let plain2 = cfg.build(1).unwrap();
-        assert!(plain.merge_from(&plain2).is_err());
+        let mut by_index = cfg.build(1).unwrap();
+        for (i, v) in [5, 6, 7, 8, 9, 10].into_iter().enumerate() {
+            plain.insert(&[v]).unwrap();
+            by_index.insert_tagged(&[v], i as u64).unwrap();
+        }
+        let rows = |s: &Synopsis| match s {
+            Synopsis::Reservoir(r) => r.weighted_rows().map(|(p, _)| p[0]).collect::<Vec<_>>(),
+            _ => unreachable!(),
+        };
+        assert_eq!(rows(&plain), rows(&by_index));
+        // ...but such a sample cannot merge, on either side.
+        assert!(plain.merge_from(&tagged).is_err());
+        assert!(tagged.merge_from(&plain).is_err());
     }
 
     #[test]
@@ -773,9 +772,9 @@ mod tests {
         a.insert(&[1]).unwrap(); // untagged
         let b = cfg.build(1).unwrap();
         assert!(a.merge_from(&b).is_err(), "untagged points cannot merge");
-        let mut c = cfg.build_mergeable(1).unwrap();
+        let mut c = cfg.build(1).unwrap();
         c.insert_tagged(&[1], 0).unwrap();
-        let mut d = cfg.build_mergeable(1).unwrap();
+        let mut d = cfg.build(1).unwrap();
         d.insert_tagged(&[2], 1).unwrap();
         d.seal();
         assert!(c.merge_from(&d).is_err(), "frozen operand cannot merge");

@@ -102,9 +102,8 @@ proptest! {
     ) {
         let built = AdaptiveSparse::new(2, base, budget);
         prop_assert_eq!(built.is_err(), budget < 4);
-        let Ok(mut a) = built else {
-            return Ok(());
-        };
+        prop_assume!(budget >= 4);
+        let mut a = built.unwrap();
         for p in &points {
             a.insert(p).unwrap();
             prop_assert!(a.num_cells() <= budget);

@@ -124,11 +124,12 @@ mod tests {
             t.mark_degraded_until(1);
         }
         let tup = |v| Tuple::new(Row::from_ints(&[v]), Timestamp::ZERO);
+        let mut seqs = 0..;
         for &v in kept {
-            t.keep(&tup(v)).unwrap();
+            t.keep_seq(&tup(v), seqs.next().unwrap()).unwrap();
         }
         for &v in shed {
-            t.shed(&tup(v)).unwrap();
+            t.shed_seq(&tup(v), seqs.next().unwrap()).unwrap();
         }
         t.seal_through(0).unwrap().pop().unwrap()
     }

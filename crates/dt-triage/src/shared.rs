@@ -20,14 +20,17 @@
 //!
 //! The pipeline is a driver over state it owns: per-stream
 //! [`TriageQueue`]s, the virtual engine clock, the optional
-//! [`SharedController`]s, and one [`StreamTriage`] per stream. Kept
-//! tuples go to [`StreamTriage::keep_owned`] as the engine drains
-//! them and victims to [`StreamTriage::shed`]; a window closes once
-//! no arrival or queued tuple can still reach it, by sealing it on
-//! every stream, folding the seals with [`crate::gather_seals`] and
-//! closing every query with [`crate::fan_out`] — the same fold, seal
-//! and close the threaded `dt-server` runtime uses. Only windows some
-//! stream holds state for are sealed and emitted.
+//! [`SharedController`]s, and one [`StreamTriage`] per stream — a
+//! one-shard worker group. Each fold takes the stream's next fold
+//! sequence number: kept tuples go to [`StreamTriage::keep_owned`] as
+//! the engine drains them and victims to [`StreamTriage::shed_seq`].
+//! A window closes once no arrival or queued tuple can still reach
+//! it, by sealing it on every stream, merging each stream's one seal
+//! with [`crate::merge_sealed`], folding the seals with
+//! [`crate::gather_seals`] and closing every query with
+//! [`crate::fan_out`] — the same fold, seal, merge and close the
+//! threaded `dt-server` runtime uses. Only windows some stream holds
+//! state for are sealed and emitted.
 //!
 //! The single-query [`crate::Pipeline`] is a thin facade over this
 //! type.
@@ -45,6 +48,7 @@ use crate::obs::{ControllerGauges, TriageObs};
 use crate::pipeline::{PipelineConfig, RunReport, RunTotals, WindowResult};
 use crate::policy::DropPolicy;
 use crate::queue::TriageQueue;
+use crate::shard::merge_sealed;
 use crate::shed::ShedMode;
 use crate::stream::{SealedWindow, StreamTriage};
 
@@ -58,6 +62,10 @@ pub struct SharedPipeline {
     queues: Vec<TriageQueue>,
     /// Per physical stream: the fold/seal state of its open windows.
     triages: Vec<StreamTriage>,
+    /// Per physical stream: the sequence number of its next fold.
+    /// Folds take them in order, so each window's kept rows and
+    /// synopsis points are already sorted by sequence.
+    next_seq: Vec<u64>,
     engine_free_at: Timestamp,
     now: Timestamp,
     /// `results[q]` collects query `q`'s windows.
@@ -124,6 +132,7 @@ impl SharedPipeline {
         Ok(SharedPipeline {
             queues,
             triages,
+            next_seq: vec![0; n],
             exec,
             spec,
             cfg,
@@ -217,7 +226,8 @@ impl SharedPipeline {
             ShedMode::DropOnly | ShedMode::DataTriage => self.enqueue(stream, tuple)?,
         };
         if let Some(v) = victim {
-            self.triages[stream].shed(&v)?;
+            let seq = self.stamp(stream);
+            self.triages[stream].shed_seq(&v, seq)?;
             self.totals.dropped += 1;
             if self.cfg.mode == ShedMode::DataTriage {
                 if let Some(ctls) = &self.controllers {
@@ -269,6 +279,13 @@ impl SharedPipeline {
             self.backlog_changed(SharedController::on_enqueue);
         }
         Ok(victim)
+    }
+
+    /// Stream `stream`'s next fold sequence number.
+    fn stamp(&mut self, stream: usize) -> u64 {
+        let seq = self.next_seq[stream];
+        self.next_seq[stream] += 1;
+        seq
     }
 
     /// Report a change of the total backlog to every stream's
@@ -332,7 +349,8 @@ impl SharedPipeline {
                 ctls[qi].observe_main(busy.micros() as f64);
             }
             self.totals.kept += 1;
-            self.triages[qi].keep_owned(tuple)?;
+            let seq = self.stamp(qi);
+            self.triages[qi].keep_owned(tuple, seq)?;
         }
         Ok(())
     }
@@ -372,7 +390,8 @@ impl SharedPipeline {
 
     /// Seal window `w` on every stream and close it for every query.
     /// `w` is the oldest window any stream holds, so each stream skips
-    /// straight to it and seals exactly that one window.
+    /// straight to it and seals exactly that one window, which
+    /// [`merge_sealed`] then folds as a one-shard group.
     fn close_window(&mut self, w: WindowId) -> DtResult<()> {
         self.flush_obs();
         self.obs.windows_closed.inc();
@@ -383,7 +402,7 @@ impl SharedPipeline {
                 .seal_through(w)?
                 .try_into()
                 .map_err(|_| DtError::engine("simulator sealed more than one window"))?;
-            seals.push(sw);
+            seals.push(merge_sealed(vec![sw])?);
         }
         let g = gather_seals(seals, self.cfg.mode)?;
         self.totals.peak_synopsis_units = self.totals.peak_synopsis_units.max(g.memory_units);

@@ -1,17 +1,19 @@
 //! Per-stream triage state: the one place a stream's kept and shed
 //! tuples are folded into their windows and sealed.
 //!
-//! Both runtimes drive a [`StreamTriage`] per physical stream and
-//! differ only in their clock and their threads. The virtual-clock
-//! [`crate::SharedPipeline`] owns one per stream and calls it inline
-//! as its engine drains the triage queues; `dt-server` gives each
-//! stream (or each shard of a stream's worker group) a worker thread
-//! that owns one and hands its seals to the merger thread. Either
-//! way a tuple is classified as **kept** (delivered to the exact
-//! engine) or **shed**, folded into the kept or dropped synopsis of
-//! every window containing its timestamp, and — once the seal
-//! frontier passes a window's end — *sealed* with that window's rows,
-//! synopses and counts.
+//! Both runtimes drive a [`StreamTriage`] per shard of a stream's
+//! worker group and differ only in their clock and their threads. The
+//! virtual-clock [`crate::SharedPipeline`] owns one per stream (a
+//! one-shard group) and calls it inline as its engine drains the
+//! triage queues; `dt-server` gives each shard a worker thread that
+//! owns one and hands its seals to the merger thread. Either way a
+//! tuple is classified as **kept** (delivered to the exact engine) or
+//! **shed**, and folded with its per-stream sequence number into the
+//! kept or dropped synopsis of every window containing its timestamp.
+//! Once the seal frontier passes a window's end the window is sealed
+//! with its rows, sequence numbers, unsealed synopses and counts;
+//! [`crate::merge_sealed`] folds a group's seals of one window and
+//! seals the synopses, for one shard or many alike.
 //!
 //! A [`StreamTriage`] is single-threaded; the concurrency lives in
 //! the channels around it. It does not require time-ordered arrivals
@@ -44,32 +46,21 @@ use crate::winmap::WinMap;
 #[derive(Debug, Default)]
 struct PointCols {
     cols: Vec<Vec<i64>>,
-    rows: usize,
-    /// Arrival tags parallel to the buffered rows, filled by
-    /// [`PointCols::push_tagged`] (sharded triage). Either every row
-    /// is tagged or none is; `flush_into` picks the tagged synopsis
-    /// kernel when tags are present.
+    /// Per-stream sequence tags, one per buffered point (so they also
+    /// count zero-dimension points).
     tags: Vec<u64>,
 }
 
 impl PointCols {
-    /// Append one point (the row count is tracked separately so
-    /// zero-dimension points still flush correctly).
+    /// Append one point carrying its per-stream sequence tag.
     #[inline]
-    fn push(&mut self, point: &[i64]) {
+    fn push(&mut self, point: &[i64], tag: u64) {
         if self.cols.len() != point.len() {
             self.cols.resize_with(point.len(), Vec::new);
         }
         for (col, &v) in self.cols.iter_mut().zip(point) {
             col.push(v);
         }
-        self.rows += 1;
-    }
-
-    /// Append one point carrying its per-stream arrival sequence tag.
-    #[inline]
-    fn push_tagged(&mut self, point: &[i64], tag: u64) {
-        self.push(point);
         self.tags.push(tag);
     }
 
@@ -77,27 +68,14 @@ impl PointCols {
     /// order-sensitive synopsis kinds see exactly the per-tuple
     /// sequence), then clear the buffer keeping column capacity.
     fn flush_into(&mut self, syn: &mut Synopsis) -> DtResult<()> {
-        if self.rows == 0 {
+        if self.tags.is_empty() {
             return Ok(());
         }
-        if !self.tags.is_empty() && self.tags.len() != self.rows {
-            return Err(DtError::synopsis(
-                "mixed tagged/untagged points in one pending buffer",
-            ));
-        }
         if self.cols.is_empty() {
-            // Zero-arity points carry no columns; replay by count.
-            if self.tags.is_empty() {
-                for _ in 0..self.rows {
-                    syn.insert(&[])?;
-                }
-            } else {
-                for &tag in &self.tags {
-                    syn.insert_tagged(&[], tag)?;
-                }
+            // Zero-arity points carry no columns; replay by tag.
+            for &tag in &self.tags {
+                syn.insert_tagged(&[], tag)?;
             }
-        } else if self.tags.is_empty() {
-            syn.insert_columns(&self.cols)?;
         } else {
             syn.insert_columns_tagged(&self.cols, &self.tags)?;
         }
@@ -105,7 +83,6 @@ impl PointCols {
             c.clear();
         }
         self.tags.clear();
-        self.rows = 0;
         Ok(())
     }
 }
@@ -138,23 +115,23 @@ fn row_point_into(row: &Row, out: &mut Vec<i64>) -> DtResult<()> {
 pub struct SealedWindow {
     /// Physical stream index.
     pub stream: usize,
-    /// Which shard of the stream's worker group sealed this (0 when
-    /// the stream runs unsharded). The merger folds the shard seals of
-    /// a window in ascending shard order ([`crate::merge_sealed`]).
+    /// Which shard of the stream's worker group sealed this (0 for
+    /// the simulator's one-shard groups and for a merged seal). The
+    /// merger folds the shard seals of a window in ascending shard
+    /// order ([`crate::merge_sealed`]).
     pub shard: usize,
     /// Which window.
     pub window: WindowId,
     /// Rows delivered to the exact engine, in arrival order.
     pub rows: Vec<Row>,
-    /// Per-stream ingest sequence numbers parallel to `rows`, recorded
-    /// by the `*_seq` triage entry points (empty otherwise). Sorting
-    /// the union of shard contributions by these unique sequences
-    /// restores global arrival order at merge, which is what keeps
-    /// sealed windows bit-identical across shard counts.
+    /// Per-stream sequence numbers, always parallel to `rows`.
+    /// Sorting the union of shard contributions by these unique
+    /// sequences restores global arrival order at merge, which is what
+    /// keeps sealed windows bit-identical across shard counts.
     pub seqs: Vec<u64>,
-    /// Sealed kept/dropped synopses (synopsis modes only). A triage in
-    /// merge mode ([`StreamTriage::sharded`]) leaves them *unsealed* —
-    /// the group merge seals after folding.
+    /// Kept/dropped synopses (synopsis modes only): unsealed as a
+    /// [`StreamTriage`] emits them, sealed once [`crate::merge_sealed`]
+    /// has folded the group's seals of the window.
     pub syn: Option<SynPair>,
     /// Tuples that arrived with timestamps in this window.
     pub arrived: u64,
@@ -171,10 +148,11 @@ pub struct SealedWindow {
 }
 
 impl SealedWindow {
-    /// The seal of a window stream `stream` never saw, as an unsharded
-    /// [`StreamTriage`] seals it: no rows, zero counts and, in a
-    /// synopsis mode, a freshly built and sealed synopsis pair. The
-    /// server's merger fills a stream's missing seal with it.
+    /// The seal of a window stream `stream` never saw, as
+    /// [`crate::merge_sealed`] folds it for a one-shard group: no rows,
+    /// zero counts and, in a synopsis mode, a freshly built and sealed
+    /// synopsis pair. The server's merger fills a stream's missing
+    /// seal with it.
     pub fn empty(
         stream: usize,
         window: WindowId,
@@ -182,7 +160,8 @@ impl SealedWindow {
         synopsis: &SynopsisConfig,
         arity: usize,
     ) -> DtResult<SealedWindow> {
-        Ok(WinState::open(mode, synopsis, arity, false)?.into_sealed(stream, 0, window, false))
+        let part = WinState::open(mode, synopsis, arity)?.into_sealed(stream, 0, window);
+        crate::merge_sealed(vec![part])
     }
 }
 
@@ -190,8 +169,7 @@ impl SealedWindow {
 #[derive(Debug)]
 struct WinState {
     rows: Vec<Row>,
-    /// Ingest sequence numbers parallel to `rows` (`*_seq` entry
-    /// points only).
+    /// Sequence numbers parallel to `rows`.
     seqs: Vec<u64>,
     syn: Option<SynPair>,
     /// Columnar kept/dropped point buffers, flushed into `syn` in one
@@ -204,25 +182,12 @@ struct WinState {
 
 impl WinState {
     /// Fresh state for a window a stream has not seen yet, with a
-    /// kept/dropped synopsis pair (merge-capable when `mergeable`)
-    /// if the mode builds synopses.
-    fn open(
-        mode: ShedMode,
-        synopsis: &SynopsisConfig,
-        arity: usize,
-        mergeable: bool,
-    ) -> DtResult<WinState> {
-        let build = || {
-            if mergeable {
-                synopsis.build_mergeable(arity)
-            } else {
-                synopsis.build(arity)
-            }
-        };
+    /// kept/dropped synopsis pair if the mode builds synopses.
+    fn open(mode: ShedMode, synopsis: &SynopsisConfig, arity: usize) -> DtResult<WinState> {
         let syn = if mode.uses_synopses() {
             Some(SynPair {
-                kept: build()?,
-                dropped: build()?,
+                kept: synopsis.build(arity)?,
+                dropped: synopsis.build(arity)?,
             })
         } else {
             None
@@ -238,19 +203,9 @@ impl WinState {
         })
     }
 
-    /// Window `w`'s seal, its buffered points already flushed. The
-    /// synopses are sealed unless `defer` (merge mode).
-    fn into_sealed(
-        mut self,
-        stream: usize,
-        shard: usize,
-        w: WindowId,
-        defer: bool,
-    ) -> SealedWindow {
-        if let Some(pair) = self.syn.as_mut().filter(|_| !defer) {
-            pair.kept.seal();
-            pair.dropped.seal();
-        }
+    /// Window `w`'s seal, its buffered points already flushed and its
+    /// synopses left unsealed for [`crate::merge_sealed`].
+    fn into_sealed(self, stream: usize, shard: usize, w: WindowId) -> SealedWindow {
         SealedWindow {
             stream,
             shard,
@@ -283,13 +238,8 @@ pub struct StreamTriage {
     mode: ShedMode,
     synopsis: SynopsisConfig,
     spec: WindowSpec,
-    /// Which shard of a worker group this triage is (0 unsharded).
+    /// Which shard of its worker group this triage is.
     shard: usize,
-    /// Merge mode: build merge-capable synopses, tag kept rows and
-    /// synopsis points with ingest sequences, and leave synopses
-    /// unsealed at seal so [`crate::merge_sealed`] can fold the
-    /// group's partials exactly. Enabled by [`StreamTriage::sharded`].
-    merge_mode: bool,
     /// Open windows, oldest first.
     wins: WinMap<WinState>,
     /// Windows below this id are sealed; tuples for them are late.
@@ -307,7 +257,7 @@ pub struct StreamTriage {
 
 impl StreamTriage {
     /// Triage state for physical stream `stream` whose rows have
-    /// `arity` integer columns.
+    /// `arity` integer columns: shard 0 of its worker group.
     pub fn new(
         stream: usize,
         arity: usize,
@@ -322,7 +272,6 @@ impl StreamTriage {
             synopsis,
             spec,
             shard: 0,
-            merge_mode: false,
             wins: WinMap::new(),
             next_seal: 0,
             degraded_until: 0,
@@ -333,14 +282,10 @@ impl StreamTriage {
         }
     }
 
-    /// Mark this triage as shard `shard` of a worker group (see the
-    /// `merge_mode` field docs). Sealed windows carry the shard index
-    /// and unsealed synopses; tuples must arrive via
-    /// [`StreamTriage::keep_seq`] / [`StreamTriage::shed_seq`] so rows
-    /// and synopsis points carry their ingest sequence.
+    /// Make this triage shard `shard` of its worker group; its seals
+    /// carry the shard index.
     pub fn sharded(mut self, shard: usize) -> Self {
         self.shard = shard;
-        self.merge_mode = true;
         self
     }
 
@@ -412,26 +357,21 @@ impl StreamTriage {
     }
 
     /// Record a tuple delivered to the exact engine: buffer its row
-    /// and (in Data Triage mode) fold it into the kept synopsis of
-    /// every window containing its timestamp. Returns `false` if every
-    /// such window was already sealed (the tuple is late and only
-    /// counted).
-    pub fn keep(&mut self, tuple: &Tuple) -> DtResult<bool> {
-        self.fold(Cow::Borrowed(tuple), None, true)
-    }
-
-    /// [`StreamTriage::keep`] for a caller that owns the tuple: its row
-    /// moves into the (last) containing window instead of being
-    /// copied.
-    pub fn keep_owned(&mut self, tuple: Tuple) -> DtResult<bool> {
-        self.fold(Cow::Owned(tuple), None, true)
-    }
-
-    /// [`StreamTriage::keep`] carrying the tuple's per-stream ingest
-    /// sequence number, recorded alongside the row and its synopsis
-    /// point so sharded seals can merge in global arrival order.
+    /// with its per-stream sequence number `seq` and (in Data Triage
+    /// mode) fold it into the kept synopsis of every window containing
+    /// its timestamp. Sequence numbers must be unique per stream:
+    /// [`crate::merge_sealed`] orders a group's rows by them. Returns
+    /// `false` if every such window was already sealed (the tuple is
+    /// late and only counted).
     pub fn keep_seq(&mut self, tuple: &Tuple, seq: u64) -> DtResult<bool> {
-        self.fold(Cow::Borrowed(tuple), Some(seq), true)
+        self.fold(Cow::Borrowed(tuple), seq, true)
+    }
+
+    /// [`StreamTriage::keep_seq`] for a caller that owns the tuple: its
+    /// row moves into the (last) containing window instead of being
+    /// copied.
+    pub fn keep_owned(&mut self, tuple: Tuple, seq: u64) -> DtResult<bool> {
+        self.fold(Cow::Owned(tuple), seq, true)
     }
 
     /// [`StreamTriage::keep_seq`] over a drained batch, returning how
@@ -439,28 +379,24 @@ impl StreamTriage {
     pub fn keep_batch_seq(&mut self, tuples: &[(Tuple, u64)]) -> DtResult<usize> {
         let mut landed = 0;
         for (t, seq) in tuples {
-            if self.fold(Cow::Borrowed(t), Some(*seq), true)? {
+            if self.fold(Cow::Borrowed(t), *seq, true)? {
                 landed += 1;
             }
         }
         Ok(landed)
     }
 
-    /// Record a shed tuple: fold it into the dropped synopsis of every
-    /// window containing its timestamp (synopsis modes) or just count
-    /// it (drop-only). Returns `false` if the tuple was late.
-    pub fn shed(&mut self, tuple: &Tuple) -> DtResult<bool> {
-        self.fold(Cow::Borrowed(tuple), None, false)
-    }
-
-    /// [`StreamTriage::shed`] carrying the tuple's per-stream ingest
-    /// sequence number (see [`StreamTriage::keep_seq`]).
+    /// Record a shed tuple with its per-stream sequence number (see
+    /// [`StreamTriage::keep_seq`]): fold it into the dropped synopsis
+    /// of every window containing its timestamp (synopsis modes) or
+    /// just count it (drop-only). Returns `false` if the tuple was
+    /// late.
     pub fn shed_seq(&mut self, tuple: &Tuple, seq: u64) -> DtResult<bool> {
-        self.fold(Cow::Borrowed(tuple), Some(seq), false)
+        self.fold(Cow::Borrowed(tuple), seq, false)
     }
 
     /// The one fold behind every keep and shed entry point.
-    fn fold(&mut self, tuple: Cow<'_, Tuple>, seq: Option<u64>, kept: bool) -> DtResult<bool> {
+    fn fold(&mut self, tuple: Cow<'_, Tuple>, seq: u64, kept: bool) -> DtResult<bool> {
         // Kept tuples are summarized only in Data Triage mode (the
         // shadow plan reads the kept synopsis); shed ones whenever the
         // mode builds synopses.
@@ -487,7 +423,7 @@ impl StreamTriage {
         while let Some(w) = windows.next() {
             landed = true;
             let st = self.wins.get_or_try_insert_with(w, || {
-                WinState::open(self.mode, &self.synopsis, self.arity, self.merge_mode)
+                WinState::open(self.mode, &self.synopsis, self.arity)
             })?;
             st.arrived += 1;
             let pend = if kept {
@@ -497,19 +433,14 @@ impl StreamTriage {
                     None => keep_row.take().map(|t| t.into_owned().row),
                 };
                 st.rows.extend(row);
-                if let Some(seq) = seq {
-                    st.seqs.push(seq);
-                }
+                st.seqs.push(seq);
                 &mut st.pend.kept
             } else {
                 st.dropped += 1;
                 &mut st.pend.dropped
             };
             if summarize && st.syn.is_some() {
-                match seq {
-                    Some(seq) => pend.push_tagged(&point, seq),
-                    None => pend.push(&point),
-                }
+                pend.push(&point, seq);
                 self.unpublished.synopsis_inserts += 1;
             }
         }
@@ -550,13 +481,13 @@ impl StreamTriage {
     fn seal_one(&mut self, w: WindowId) -> DtResult<SealedWindow> {
         let mut st = match self.wins.remove(w) {
             Some(st) => st,
-            None => WinState::open(self.mode, &self.synopsis, self.arity, self.merge_mode)?,
+            None => WinState::open(self.mode, &self.synopsis, self.arity)?,
         };
-        // Flush the window's buffered points in one vectorized pass,
-        // then seal. In merge mode sealing is deferred: the group
-        // merge folds the shards' unsealed partials first, so MAXDIFF
-        // (and any other order-observing finalization) runs exactly
-        // once, over the globally ordered point sequence.
+        // Flush the window's buffered points in one vectorized pass.
+        // Sealing the synopses is left to the group merge, which folds
+        // the shards' partials first, so MAXDIFF (and any other
+        // order-observing finalization) runs exactly once, over the
+        // globally ordered point sequence.
         if let Some(pair) = &mut st.syn {
             let t0 = self
                 .obs
@@ -571,7 +502,7 @@ impl StreamTriage {
                     .observe(t0.elapsed().as_micros() as u64);
             }
         }
-        let mut sw = st.into_sealed(self.stream, self.shard, w, self.merge_mode);
+        let mut sw = st.into_sealed(self.stream, self.shard, w);
         sw.degraded = w < self.degraded_until;
         Ok(sw)
     }
@@ -639,9 +570,9 @@ mod tests {
     #[test]
     fn keep_and_shed_fold_into_the_right_synopses() {
         let mut t = triage(ShedMode::DataTriage);
-        assert!(t.keep(&tup(1, 100_000)).unwrap());
-        assert!(t.keep(&tup(2, 200_000)).unwrap());
-        assert!(t.shed(&tup(3, 300_000)).unwrap());
+        assert!(t.keep_seq(&tup(1, 100_000), 0).unwrap());
+        assert!(t.keep_seq(&tup(2, 200_000), 1).unwrap());
+        assert!(t.shed_seq(&tup(3, 300_000), 2).unwrap());
         let sealed = t.seal_through(0).unwrap();
         assert_eq!(sealed.len(), 1);
         let w = &sealed[0];
@@ -655,8 +586,8 @@ mod tests {
     #[test]
     fn drop_only_counts_but_does_not_summarize() {
         let mut t = triage(ShedMode::DropOnly);
-        t.keep(&tup(1, 100)).unwrap();
-        t.shed(&tup(2, 200)).unwrap();
+        t.keep_seq(&tup(1, 100), 0).unwrap();
+        t.shed_seq(&tup(2, 200), 1).unwrap();
         let sealed = t.seal_through(0).unwrap();
         assert_eq!(sealed[0].dropped, 1);
         assert!(sealed[0].syn.is_none());
@@ -665,11 +596,11 @@ mod tests {
     #[test]
     fn late_tuples_are_counted_not_folded() {
         let mut t = triage(ShedMode::DataTriage);
-        t.keep(&tup(1, 100)).unwrap();
+        t.keep_seq(&tup(1, 100), 0).unwrap();
         assert_eq!(t.seal_through(0).unwrap().len(), 1);
         // Window 0 is sealed: both paths reject stragglers.
-        assert!(!t.keep(&tup(2, 500)).unwrap());
-        assert!(!t.shed(&tup(3, 600)).unwrap());
+        assert!(!t.keep_seq(&tup(2, 500), 1).unwrap());
+        assert!(!t.shed_seq(&tup(3, 600), 2).unwrap());
         assert_eq!(t.late(), 2);
         assert_eq!(t.next_seal(), 1);
     }
@@ -678,8 +609,8 @@ mod tests {
     fn seal_emits_contiguous_windows_including_empty() {
         let mut t = triage(ShedMode::DataTriage);
         // Tuples only in windows 0 and 3.
-        t.keep(&tup(1, 500_000)).unwrap();
-        t.keep(&tup(2, 3_500_000)).unwrap();
+        t.keep_seq(&tup(1, 500_000), 0).unwrap();
+        t.keep_seq(&tup(2, 3_500_000), 1).unwrap();
         let sealed = t.seal_all().unwrap();
         let ids: Vec<WindowId> = sealed.iter().map(|s| s.window).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
@@ -698,14 +629,14 @@ mod tests {
         t.resume_from(1);
         t.mark_degraded_until(3);
         // A fresh tuple for window 2 still lands and is reported.
-        assert!(t.keep(&tup(9, 2_500_000)).unwrap());
+        assert!(t.keep_seq(&tup(9, 2_500_000), 0).unwrap());
         let sealed = t.seal_all().unwrap();
         let ids: Vec<WindowId> = sealed.iter().map(|s| s.window).collect();
         assert_eq!(ids, vec![1, 2], "resumes after the sealed prefix");
         assert!(sealed.iter().all(|s| s.degraded), "crash range flagged");
         assert_eq!(sealed[1].kept, 1, "post-restart tuples survive");
         // Windows past the degraded range seal clean again.
-        t.keep(&tup(1, 3_500_000)).unwrap();
+        t.keep_seq(&tup(1, 3_500_000), 1).unwrap();
         let clean = t.seal_all().unwrap();
         assert_eq!(clean.len(), 1);
         assert!(!clean[0].degraded);
@@ -735,8 +666,8 @@ mod tests {
         );
         // ts = 1.5 s is in windows 0 and 1, whether the row is
         // borrowed or handed over.
-        t.keep(&tup(7, 1_500_000)).unwrap();
-        t.keep_owned(tup(8, 1_600_000)).unwrap();
+        t.keep_seq(&tup(7, 1_500_000), 0).unwrap();
+        t.keep_owned(tup(8, 1_600_000), 1).unwrap();
         let sealed = t.seal_all().unwrap();
         assert_eq!(sealed.len(), 2);
         let want = vec![Row::from_ints(&[7]), Row::from_ints(&[8])];
@@ -747,7 +678,7 @@ mod tests {
     fn kept_rows_partition_by_timestamp() {
         let mut t = triage(ShedMode::DropOnly);
         for (v, us) in [(1, 100_000), (2, 900_000), (3, 1_100_000)] {
-            t.keep(&tup(v, us)).unwrap();
+            t.keep_seq(&tup(v, us), v as u64).unwrap();
         }
         let sealed = t.seal_through(1).unwrap();
         assert_eq!(
@@ -768,12 +699,12 @@ mod tests {
         );
         // Out-of-order timestamps inside one window: rows stay in the
         // order they were kept, whole.
-        for (row, us) in [([2, 20], 500), ([1, 10], 100), ([3, 30], 300)] {
-            t.keep(&Tuple::new(
-                Row::from_ints(&row),
-                Timestamp::from_micros(us),
-            ))
-            .unwrap();
+        for (seq, (row, us)) in [([2, 20], 500), ([1, 10], 100), ([3, 30], 300)]
+            .into_iter()
+            .enumerate()
+        {
+            let tuple = Tuple::new(Row::from_ints(&row), Timestamp::from_micros(us));
+            t.keep_seq(&tuple, seq as u64).unwrap();
         }
         let sealed = t.seal_all().unwrap();
         assert_eq!(
@@ -802,12 +733,16 @@ mod tests {
     }
 
     #[test]
-    fn empty_seal_is_what_an_unsharded_triage_seals_for_an_unseen_window() {
+    fn empty_seal_is_what_a_one_shard_group_seals_for_an_unseen_window() {
         let configs = [
             SynopsisConfig::Sparse { cell_width: 5 },
             SynopsisConfig::MHist {
                 max_buckets: 8,
                 alignment: None,
+            },
+            SynopsisConfig::AdaptiveSparse {
+                base_width: 1,
+                max_cells: 4,
             },
             SynopsisConfig::Reservoir {
                 capacity: 4,
@@ -822,12 +757,10 @@ mod tests {
             for synopsis in configs {
                 let mut t = StreamTriage::new(3, 2, mode, synopsis, spec());
                 // Window 7 holds tuples; window 6 is never seen.
-                t.keep(&Tuple::new(
-                    Row::from_ints(&[1, 2]),
-                    Timestamp::from_micros(7_500_000),
-                ))
-                .unwrap();
+                let tuple = Tuple::new(Row::from_ints(&[1, 2]), Timestamp::from_micros(7_500_000));
+                t.keep_seq(&tuple, 0).unwrap();
                 let unseen = t.seal_through(6).unwrap().pop().unwrap();
+                let unseen = crate::merge_sealed(vec![unseen]).unwrap();
                 let empty = SealedWindow::empty(3, 6, mode, &synopsis, 2).unwrap();
                 assert_eq!(empty, unseen, "{mode:?} {synopsis:?}");
             }
@@ -838,9 +771,9 @@ mod tests {
     fn first_open_tracks_the_oldest_window_and_skip_idle_stops_there() {
         let mut t = triage(ShedMode::DataTriage);
         assert_eq!(t.first_open(), None);
-        t.keep(&tup(1, 5_500_000)).unwrap();
+        t.keep_seq(&tup(1, 5_500_000), 0).unwrap();
         assert_eq!(t.first_open(), Some(5));
-        t.shed(&tup(2, 1_500_000)).unwrap();
+        t.shed_seq(&tup(2, 1_500_000), 1).unwrap();
         assert_eq!((t.first_open(), t.max_open()), (Some(1), Some(5)));
         // Skipping never passes an open window…
         t.skip_idle(9);
@@ -861,10 +794,10 @@ mod tests {
     #[test]
     fn dropped_synopsis_appears_with_the_first_shed_tuple() {
         let mut t = triage(ShedMode::DataTriage);
-        t.keep(&tup(1, 100)).unwrap();
+        t.keep_seq(&tup(1, 100), 0).unwrap();
         assert!(t.dropped_synopsis(0).unwrap().is_none(), "nothing shed yet");
-        t.shed(&tup(4, 200)).unwrap();
-        t.shed(&tup(4, 300)).unwrap();
+        t.shed_seq(&tup(4, 200), 1).unwrap();
+        t.shed_seq(&tup(4, 300), 2).unwrap();
         let syn = t.dropped_synopsis(0).unwrap().expect("shed tuples");
         assert!(
             (syn.total_mass() - 2.0).abs() < 1e-9,
@@ -878,7 +811,7 @@ mod tests {
         assert!((pair.kept.total_mass() - 1.0).abs() < 1e-9);
         // Drop-only builds no synopses to consult.
         let mut d = triage(ShedMode::DropOnly);
-        d.shed(&tup(4, 200)).unwrap();
+        d.shed_seq(&tup(4, 200), 3).unwrap();
         assert!(d.dropped_synopsis(0).unwrap().is_none());
     }
 }

@@ -72,8 +72,8 @@ fn offers_during_and_after_a_seal_are_late_not_lost() {
         spec,
     );
     // Window 0 gets one kept and one shed tuple, then seals.
-    assert!(t.keep(&tup(1, 100_000)).unwrap());
-    assert!(t.shed(&tup(2, 200_000)).unwrap());
+    assert!(t.keep_seq(&tup(1, 100_000), 0).unwrap());
+    assert!(t.shed_seq(&tup(2, 200_000), 1).unwrap());
     let sealed = t.seal_through(0).unwrap();
     assert_eq!(sealed.len(), 1);
     assert_eq!(sealed[0].kept, 1);
@@ -81,13 +81,13 @@ fn offers_during_and_after_a_seal_are_late_not_lost() {
 
     // A straggler for the sealed window is counted late and never
     // folded; the seal's results are immutable.
-    assert!(!t.keep(&tup(3, 300_000)).unwrap());
-    assert!(!t.shed(&tup(4, 400_000)).unwrap());
+    assert!(!t.keep_seq(&tup(3, 300_000), 2).unwrap());
+    assert!(!t.shed_seq(&tup(4, 400_000), 3).unwrap());
     assert_eq!(t.late(), 2);
 
     // Concurrent-looking interleave: a tuple for the *next* window
     // offered between seals lands in that window.
-    assert!(t.keep(&tup(5, 1_500_000)).unwrap());
+    assert!(t.keep_seq(&tup(5, 1_500_000), 4).unwrap());
     let sealed = t.seal_all().unwrap();
     assert_eq!(sealed.len(), 1);
     assert_eq!(sealed[0].window, 1);

@@ -107,13 +107,13 @@ proptest! {
         );
         let mut want_kept: u64 = 0;
         let mut want_dropped: u64 = 0;
-        for (keep, v, us) in &tuples {
+        for (seq, (keep, v, us)) in (0u64..).zip(&tuples) {
             let t = tup(*v, *us);
             if *keep {
-                prop_assert!(triage.keep(&t).unwrap(), "nothing sealed yet, never late");
+                prop_assert!(triage.keep_seq(&t, seq).unwrap(), "nothing sealed yet, never late");
                 want_kept += 1;
             } else {
-                prop_assert!(triage.shed(&t).unwrap());
+                prop_assert!(triage.shed_seq(&t, seq).unwrap());
                 want_dropped += 1;
             }
         }
